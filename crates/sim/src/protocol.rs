@@ -86,16 +86,6 @@ impl<T> Shared<T> {
     pub fn new(value: T) -> Self {
         Shared(Arc::new(value))
     }
-
-    /// Recover the owned value: a cheap move when this is the last
-    /// handle, a clone otherwise.
-    #[inline]
-    pub fn unwrap_or_clone(self) -> T
-    where
-        T: Clone,
-    {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
-    }
 }
 
 impl<T> Clone for Shared<T> {

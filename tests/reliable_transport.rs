@@ -144,3 +144,33 @@ fn arq_is_transparent_on_reliable_links() {
         );
     }
 }
+
+#[test]
+fn loss_alone_never_kills_a_link() {
+    // Loss-only plans crash nobody, so every link death the ARQ layer
+    // reports here would be false. Fifty seeds per loss rate up to 20%,
+    // for both DiMaEC and DiMa2ED.
+    let g = structured::complete(12);
+    let d = Digraph::symmetric_closure(&g);
+    let deaths = |stats: &dima::sim::RunStats| {
+        let reg = stats.metrics.as_ref().expect("metrics were on");
+        reg.counter("arq/link_down_exhausted") + reg.counter("arq/link_down_silent")
+    };
+    let mut retransmits = 0;
+    for loss in [0.02, 0.1, 0.2] {
+        for seed in 0..50 {
+            let cfg = ColoringConfig {
+                faults: FaultPlan::uniform(loss),
+                transport: Transport::reliable(),
+                collect_metrics: true,
+                ..ColoringConfig::seeded(seed)
+            };
+            let r = color_edges(&g, &cfg).unwrap();
+            assert_eq!(deaths(&r.stats), 0, "DiMaEC loss {loss} seed {seed}");
+            let s = strong_color_digraph(&d, &cfg).unwrap();
+            assert_eq!(deaths(&s.stats), 0, "DiMa2ED loss {loss} seed {seed}");
+            retransmits += r.stats.metrics.unwrap().counter("arq/retransmits");
+        }
+    }
+    assert!(retransmits > 0, "the plans must actually lose bundles");
+}
