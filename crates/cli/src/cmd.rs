@@ -103,7 +103,7 @@ fault-injection flags (color | strong-color | matching):
 
 profiling flags (color | strong-color | matching):
   --profile               measure per-phase engine wall-clock (step,
-                          route, collect, churn) to stderr; under
+                          collect, churn, barrier) to stderr; under
                           --threads the per-shard breakdown shows which
                           shard gates each round barrier
 
@@ -185,7 +185,10 @@ fn fault_plan(flags: &HashMap<String, String>) -> Result<FaultPlan, String> {
 /// Parse the `--reduce` post-pass selector and its `--reduce-target`
 /// companion (shared by `color` and `serve`).
 pub(crate) fn parse_reduce(flags: &HashMap<String, String>) -> Result<ColorReduction, String> {
-    let target: u32 = flag(flags, "reduce-target", 0)?;
+    // An explicit target is passed through as given, so a nonsense value
+    // (0) reaches config validation instead of silently meaning Δ+1.
+    let target: Option<u32> =
+        flags.contains_key("reduce-target").then(|| flag(flags, "reduce-target", 0)).transpose()?;
     match flags.get("reduce").map(String::as_str) {
         None | Some("off") => {
             if flags.contains_key("reduce-target") {
@@ -194,7 +197,7 @@ pub(crate) fn parse_reduce(flags: &HashMap<String, String>) -> Result<ColorReduc
             Ok(ColorReduction::Off)
         }
         Some("kempe") => Ok(ColorReduction::Kempe(KempeConfig {
-            target_colors: (target > 0).then_some(target),
+            target_colors: target,
             ..KempeConfig::default()
         })),
         Some(other) => Err(format!("--reduce must be kempe or off, got '{other}'")),
@@ -238,22 +241,22 @@ fn report_profile(stats: &dima_sim::RunStats) {
     }
     let ms = |n: u64| n as f64 / 1e6;
     eprintln!(
-        "profile: step {:.3} ms, route {:.3} ms, collect {:.3} ms, churn {:.3} ms \
+        "profile: step {:.3} ms, collect {:.3} ms, churn {:.3} ms, barrier {:.3} ms \
          (total {:.3} ms across workers)",
         ms(p.step),
-        ms(p.route),
         ms(p.collect),
         ms(p.churn),
+        ms(p.barrier),
         ms(p.total()),
     );
     for (i, sp) in stats.shard_phases.iter().enumerate() {
         eprintln!(
-            "profile:   shard {i}: step {:.3} ms, route {:.3} ms, collect {:.3} ms, \
-             churn {:.3} ms",
+            "profile:   shard {i}: step {:.3} ms, collect {:.3} ms, churn {:.3} ms, \
+             barrier {:.3} ms",
             ms(sp.step),
-            ms(sp.route),
             ms(sp.collect),
             ms(sp.churn),
+            ms(sp.barrier),
         );
     }
 }
@@ -1564,8 +1567,10 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dima_cli_{}", std::process::id()));
+    /// A scratch directory of the test's own: tests run in parallel and
+    /// each removes its directory when done.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dima_cli_{}_{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1618,7 +1623,7 @@ mod tests {
 
     #[test]
     fn end_to_end_lossy_run_with_reliable_transport() {
-        let dir = tmpdir();
+        let dir = tmpdir("end_to_end_lossy_run_with_reliable_transport");
         let gpath = dir.join("g4.edges");
         dispatch(&s(&[
             "gen",
@@ -1691,7 +1696,7 @@ mod tests {
 
     #[test]
     fn end_to_end_churn_color_and_strong() {
-        let dir = tmpdir();
+        let dir = tmpdir("end_to_end_churn_color_and_strong");
         let gpath = dir.join("g5.edges");
         dispatch(&s(&[
             "gen",
@@ -1780,7 +1785,7 @@ mod tests {
 
     #[test]
     fn end_to_end_gen_color_verify() {
-        let dir = tmpdir();
+        let dir = tmpdir("end_to_end_gen_color_verify");
         let gpath = dir.join("g.edges");
         let cpath = dir.join("g.colors");
         dispatch(&s(&[
@@ -1813,7 +1818,7 @@ mod tests {
 
     #[test]
     fn end_to_end_strong_and_matching() {
-        let dir = tmpdir();
+        let dir = tmpdir("end_to_end_strong_and_matching");
         let gpath = dir.join("g2.edges");
         let spath = dir.join("g2.channels");
         dispatch(&s(&[
@@ -1850,7 +1855,7 @@ mod tests {
 
     #[test]
     fn verify_rejects_bad_coloring() {
-        let dir = tmpdir();
+        let dir = tmpdir("verify_rejects_bad_coloring");
         let gpath = dir.join("g3.edges");
         std::fs::write(&gpath, "n 3\n0 1\n1 2\n").unwrap();
         let cpath = dir.join("g3.colors");
@@ -1908,7 +1913,7 @@ mod tests {
 
     #[test]
     fn trace_record_summarize_diff_roundtrip() {
-        let dir = tmpdir();
+        let dir = tmpdir("trace_record_summarize_diff_roundtrip");
         let gpath = dir.join("gt.edges");
         dispatch(&s(&[
             "gen",
@@ -1988,7 +1993,7 @@ mod tests {
 
     #[test]
     fn metrics_dump_diff_roundtrip() {
-        let dir = tmpdir();
+        let dir = tmpdir("metrics_dump_diff_roundtrip");
         let gpath = dir.join("mg.edges");
         dispatch(&s(&[
             "gen",

@@ -421,6 +421,48 @@ fn garbage_and_invalid_input_never_poison_the_service() {
     assert!(!run.stderr.contains("panicked"), "must not panic:\n{}", run.stderr);
 }
 
+#[test]
+fn reduce_target_zero_is_rejected_not_reinterpreted() {
+    // `--reduce-target 0` names an impossible palette; it must exit 2
+    // with one error line, not quietly fall back to the Δ+1 default.
+    let tmp = TmpDir::new("reduce-target");
+    let graph = tmp.path("g.edges");
+    write_graph(&graph);
+    let color = Command::new(bin())
+        .arg("color")
+        .arg(&graph)
+        .args(["--seed", "3", "--reduce", "kempe", "--reduce-target", "0"])
+        .arg("--out")
+        .arg(tmp.path("c.colors"))
+        .output()
+        .expect("run dima-cli color");
+    let stderr = String::from_utf8_lossy(&color.stderr);
+    assert_eq!(color.status.code(), Some(2), "color must refuse target 0:\n{stderr}");
+    assert!(stderr.contains("error:") && stderr.contains("target"), "{stderr}");
+    assert!(!tmp.path("c.colors").exists(), "no coloring may be written");
+
+    let run = serve(
+        &graph,
+        &tmp.path("state"),
+        &["--reduce", "kempe", "--reduce-target", "0"],
+        &[],
+        true,
+    );
+    assert_eq!(run.status.code(), Some(2), "serve must refuse target 0:\n{}", run.stderr);
+    assert!(run.stderr.contains("error:") && run.stderr.contains("target"), "{}", run.stderr);
+    assert!(!run.stderr.contains("panicked"), "must not panic:\n{}", run.stderr);
+
+    // A positive explicit target is accepted by both.
+    let ok = serve(
+        &graph,
+        &tmp.path("state_ok"),
+        &["--reduce", "kempe", "--reduce-target", "4"],
+        &[],
+        true,
+    );
+    assert!(ok.status.success(), "serve --reduce-target 4 failed:\n{}", ok.stderr);
+}
+
 /// Spawn a serve process listening on a socket, returning the child,
 /// the resolved listen address (after a port-0 bind), and a thread
 /// collecting its stderr.

@@ -6,6 +6,8 @@
 
 use dima_sim::fault::FaultPlan;
 use dima_sim::reliable::ArqConfig;
+pub use dima_sim::Engine;
+use dima_sim::EngineConfig;
 
 use crate::error::CoreError;
 
@@ -35,19 +37,6 @@ pub enum ResponsePolicy {
     FirstSender,
     /// Ablation: the invitation proposing the lowest color.
     LowestColor,
-}
-
-/// Which engine executes the protocol.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Deterministic single-threaded reference engine.
-    #[default]
-    Sequential,
-    /// Sharded multi-threaded engine; produces bit-identical results.
-    Parallel {
-        /// Number of worker threads.
-        threads: usize,
-    },
 }
 
 /// How protocol messages travel between nodes.
@@ -221,10 +210,8 @@ impl ColoringConfig {
                     .into(),
             ));
         }
-        if let Engine::Parallel { threads } = self.engine {
-            if threads == 0 {
-                return Err(CoreError::Config("parallel engine needs >= 1 thread".into()));
-            }
+        if self.engine == (Engine::Parallel { threads: 0 }) {
+            return Err(CoreError::Config("parallel engine needs >= 1 thread".into()));
         }
         if self.proposal_width == 0 {
             return Err(CoreError::Config("proposal_width must be >= 1".into()));
@@ -246,6 +233,22 @@ impl ColoringConfig {
             }
         }
         Ok(())
+    }
+
+    /// The simulator configuration for a run with a budget of
+    /// `max_rounds` communication rounds: seed, engine, faults and the
+    /// instrumentation switches carry over unchanged.
+    pub fn engine_config(&self, max_rounds: u64) -> EngineConfig {
+        EngineConfig {
+            seed: self.seed,
+            max_rounds,
+            collect_round_stats: self.collect_round_stats,
+            validate_sends: self.validate_sends,
+            faults: self.faults.clone(),
+            profile: self.profile,
+            metrics: self.collect_metrics,
+            engine: self.engine,
+        }
     }
 
     /// The computation-round budget for a graph of maximum degree `delta`.

@@ -48,17 +48,17 @@
 
 use dima_graph::{Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
-use dima_sim::telemetry::{NoopTracer, PaletteAction, StateTimeline, Tracer};
-use dima_sim::{EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
+use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
+use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 use rand::rngs::SmallRng;
 
 use crate::automata::{choose_role, pick_uniform, pick_uniform_iter, Phase, Role};
 use crate::churn::{batch_reports, ChurnColoringResult};
-use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy, Transport};
+use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy};
 use crate::error::CoreError;
 use crate::kempe::{reduce_palette_metered, KempeReport};
 use crate::palette::{Color, ColorSet};
-use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
+use crate::runner::run_protocol;
 
 /// Messages of Algorithm 1. All broadcast, per the paper; the `to` field
 /// addresses the intended recipient.
@@ -139,7 +139,8 @@ pub struct EdgeColoringNode {
     /// round this node runs; drained unconditionally so the buffer never
     /// grows when tracing is off).
     pending_released: Vec<(Color, VertexId)>,
-    /// Automata state after the last round (for state censuses).
+    /// Automata state after the last round (reported to tracers as
+    /// state events).
     state: &'static str,
 }
 
@@ -497,12 +498,6 @@ impl Protocol for EdgeColoringNode {
     }
 }
 
-impl dima_sim::trace::StateLabel for EdgeColoringNode {
-    fn state_label(&self) -> &'static str {
-        self.state
-    }
-}
-
 /// The outcome of an edge-coloring run.
 #[derive(Clone, Debug)]
 pub struct EdgeColoringResult {
@@ -545,53 +540,6 @@ pub struct EdgeColoringResult {
     pub palette_bytes: u64,
 }
 
-/// Run Algorithm 1 on `g` and additionally collect a per-communication-
-/// round census of automata states (sequential engine only — censuses
-/// are an observation tool, not a result).
-///
-/// Built on the telemetry plane: the run is traced into a
-/// [`StateTimeline`] whose per-round snapshots are folded into the
-/// rendered [`StateCensus`](dima_sim::trace::StateCensus) shape the
-/// experiment binaries consume.
-pub fn color_edges_with_census(
-    g: &Graph,
-    cfg: &ColoringConfig,
-) -> Result<(EdgeColoringResult, dima_sim::trace::StateCensus), CoreError> {
-    cfg.validate()?;
-    if cfg.transport != Transport::Bare {
-        return Err(CoreError::Config(
-            "state censuses observe the bare transport only \
-             (the ARQ wrapper has no automata states)"
-                .into(),
-        ));
-    }
-    let delta = g.max_degree();
-    let topo = Topology::from_graph(g);
-    let engine_cfg = EngineConfig {
-        seed: cfg.seed,
-        max_rounds: 3 * cfg.compute_round_budget(delta),
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
-    };
-    let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
-    let mut timeline = StateTimeline::new(g.num_vertices());
-    let outcome = dima_sim::run_sequential_traced(
-        &topo,
-        &engine_cfg,
-        |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound),
-        &mut timeline,
-    )?;
-    let mut census = dima_sim::trace::StateCensus::new();
-    for snap in timeline.rounds() {
-        census.record(snap.labels());
-    }
-    let result = assemble_result(g, delta, &outcome.nodes, outcome.stats, outcome.crashed, 0);
-    Ok((result, census))
-}
-
 /// Run Algorithm 1 on `g`.
 ///
 /// Returns the coloring plus the round/message statistics the paper's
@@ -618,7 +566,7 @@ pub fn color_edges_traced<T: Tracer + Sync>(
     let max_rounds = 3 * cfg.compute_round_budget(delta);
     let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
     let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound);
-    let run = run_protocol_traced(&topo, cfg, max_rounds, factory, tracer)?;
+    let run = run_protocol(&topo, cfg, max_rounds, &ChurnSchedule::empty(), factory, tracer)?;
     let mut r = assemble_result(
         g,
         delta,
@@ -671,7 +619,7 @@ pub fn color_edges_churn_traced<T: Tracer + Sync>(
     let max_rounds = schedule.last_round().map_or(budget, |lr| lr + budget);
     let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
     let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound);
-    let run = run_protocol_churn_traced(&topo, cfg, max_rounds, schedule, factory, tracer)?;
+    let run = run_protocol(&topo, cfg, max_rounds, schedule, factory, tracer)?;
     let batches = batch_reports(schedule, &run.stats);
     let mut coloring = assemble_result(&final_graph, delta, &run.nodes, run.stats, run.crashed, 0);
     apply_reduction(&final_graph, cfg, &mut coloring, tracer)?;
@@ -773,10 +721,11 @@ fn apply_reduction<T: Tracer + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Engine;
+    use crate::config::{Engine, Transport};
     use crate::verify::verify_edge_coloring;
     use dima_graph::gen::{erdos_renyi_avg_degree, structured, watts_strogatz};
     use dima_sim::fault::FaultPlan;
+    use dima_sim::telemetry::StateTimeline;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1013,30 +962,23 @@ mod tests {
     }
 
     #[test]
-    fn census_requires_bare_transport() {
-        let g = structured::path(3);
-        let cfg = ColoringConfig { transport: Transport::reliable(), ..ColoringConfig::seeded(1) };
-        assert!(matches!(color_edges_with_census(&g, &cfg), Err(CoreError::Config(_))));
-    }
-
-    #[test]
     fn census_tracks_automata_states() {
         let g = structured::grid(4, 4);
-        let (r, census) = color_edges_with_census(&g, &ColoringConfig::seeded(5)).unwrap();
+        let n = g.num_vertices();
+        let mut timeline = StateTimeline::new(n);
+        let r = color_edges_traced(&g, &ColoringConfig::seeded(5), &mut timeline).unwrap();
         assert_good_coloring(&g, &r);
+        let census = timeline.rounds();
         assert_eq!(census.len() as u64, r.comm_rounds);
         // Round 0 is the invite step: every node is I or L.
-        let n = g.num_vertices();
-        assert_eq!(census.count(0, "I") + census.count(0, "L"), n);
+        assert_eq!((census[0].count("I") + census[0].count("L")) as usize, n);
         // Round 1 is the respond step: every node is W or R.
-        assert_eq!(census.count(1, "W") + census.count(1, "R"), n);
+        assert_eq!((census[1].count("W") + census[1].count("R")) as usize, n);
         // Final round: everyone done.
-        let last = census.len() - 1;
-        assert!(census.count(last, "D") > 0);
-        // Census agrees with the plain runner on the result.
+        assert!(census.last().unwrap().count("D") > 0);
+        // The traced run agrees with the plain runner on the result.
         let plain = color_edges(&g, &ColoringConfig::seeded(5)).unwrap();
         assert_eq!(plain.colors, r.colors);
-        assert!(!census.render().is_empty());
     }
 
     #[test]

@@ -63,12 +63,12 @@
 use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
 use dima_sim::telemetry::{MetricsRegistry, NoopTracer, PaletteAction, Tracer};
-use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, Topology};
+use dima_sim::{ChurnSchedule, NodeSeed, NodeStatus, Protocol, RoundCtx, Topology};
 
 use crate::config::{ColorReduction, ColoringConfig, KempeConfig, Transport};
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet};
-use crate::runner::run_protocol_traced;
+use crate::runner::run_protocol;
 
 /// Rounds a request sender waits for a response before retransmitting.
 /// Under the bare reliable transport a received request is answered in
@@ -859,12 +859,6 @@ impl Protocol for KempeNode {
     }
 }
 
-impl dima_sim::trace::StateLabel for KempeNode {
-    fn state_label(&self) -> &'static str {
-        self.state
-    }
-}
-
 /// What the reduction pass did to the palette.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct KempeReport {
@@ -1026,7 +1020,8 @@ pub fn reduce_palette_metered<T: Tracer + Sync>(
     let factory = |seed: NodeSeed<'_>| {
         KempeNode::new(&seed, &init[seed.node.index()], threshold, &kcfg, deadline)
     };
-    let mut run = run_protocol_traced(&topo, &run_cfg, max_rounds, factory, tracer)?;
+    let mut run =
+        run_protocol(&topo, &run_cfg, max_rounds, &ChurnSchedule::empty(), factory, tracer)?;
     // Write the negotiated colors back into the global table. Both
     // endpoints of every live edge agree (the commit protocol updates
     // them within one operation); pinned edges kept their input color.

@@ -65,7 +65,7 @@ pub use config::{
 };
 pub use edge_coloring::{
     color_edges, color_edges_churn, color_edges_churn_traced, color_edges_traced,
-    color_edges_with_census, EdgeColoringResult,
+    EdgeColoringResult,
 };
 pub use error::CoreError;
 pub use kempe::{reduce_palette, reduce_palette_traced, KempeReport};

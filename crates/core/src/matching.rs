@@ -13,12 +13,12 @@
 
 use dima_graph::{Graph, VertexId};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
-use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
+use dima_sim::{ChurnSchedule, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 
 use crate::automata::{choose_role, pick_uniform, Phase, Role};
 use crate::config::{ColoringConfig, ResponsePolicy};
 use crate::error::CoreError;
-use crate::runner::run_protocol_traced;
+use crate::runner::run_protocol;
 
 /// Messages of the matching protocol. All are broadcast, as in the paper;
 /// the `to` field addresses the intended recipient and everyone else
@@ -57,7 +57,8 @@ pub struct MatchingNode {
     invited: Option<VertexId>,
     invite_probability: f64,
     response_policy: ResponsePolicy,
-    /// Automata state after the last round (for state censuses).
+    /// Automata state after the last round (reported to tracers as
+    /// state events).
     state: &'static str,
 }
 
@@ -199,20 +200,6 @@ impl Protocol for MatchingNode {
     }
 }
 
-/// Construct a matching node directly, for custom runs through the
-/// simulator APIs (e.g. state censuses via
-/// [`dima_sim::run_sequential_observed`]); normal use goes through
-/// [`maximal_matching`].
-pub fn new_node_for_census(seed: &NodeSeed<'_>, cfg: &ColoringConfig) -> MatchingNode {
-    MatchingNode::new(seed, cfg)
-}
-
-impl dima_sim::trace::StateLabel for MatchingNode {
-    fn state_label(&self) -> &'static str {
-        self.state
-    }
-}
-
 /// The outcome of a maximal-matching run.
 #[derive(Clone, Debug)]
 pub struct MatchingResult {
@@ -270,7 +257,7 @@ pub fn maximal_matching_traced<T: Tracer + Sync>(
     let topo = Topology::from_graph(g);
     let max_rounds = 3 * cfg.compute_round_budget(g.max_degree());
     let factory = |seed: NodeSeed<'_>| MatchingNode::new(&seed, cfg);
-    let run = run_protocol_traced(&topo, cfg, max_rounds, factory, tracer)?;
+    let run = run_protocol(&topo, cfg, max_rounds, &ChurnSchedule::empty(), factory, tracer)?;
     let alive = run.alive();
 
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();

@@ -1,24 +1,22 @@
-//! Engine × transport dispatch shared by the protocol entry points.
+//! The transport layer shared by the protocol entry points.
 //!
 //! Every public algorithm ([`crate::maximal_matching`],
 //! [`crate::color_edges`], [`crate::strong_color_digraph`]) runs its
-//! per-vertex protocol through [`run_protocol`], which picks the engine
-//! ([`Engine::Sequential`] or [`Engine::Parallel`]) and, when
-//! [`Transport::Reliable`] is configured, wraps every node in the ARQ
-//! layer of [`dima_sim::reliable`] so lossy links look perfect to the
-//! protocol. The extra engine rounds the ARQ layer spends on
-//! retransmission and synchronization are reported as
+//! per-vertex protocol through [`run_protocol`]. The engine is a field of
+//! the [`EngineConfig`] it builds (see [`ColoringConfig::engine_config`]);
+//! this layer only decides the transport. When [`Transport::Reliable`]
+//! is configured, it wraps every node in the ARQ layer of
+//! [`dima_sim::reliable`] so lossy links look perfect to the protocol.
+//! The extra engine rounds the ARQ layer spends on retransmission and
+//! synchronization are reported as
 //! [`EngineRun::transport_overhead_rounds`] so experiments can separate
 //! algorithm cost from transport cost.
 
 use dima_sim::churn::ChurnSchedule;
 use dima_sim::telemetry::Tracer;
-use dima_sim::{
-    run_parallel_churn_traced, run_parallel_traced, run_sequential_churn_traced,
-    run_sequential_traced, EngineConfig, NodeSeed, Protocol, ReliableNode, Topology,
-};
+use dima_sim::{run_with, EngineConfig, NodeSeed, Protocol, ReliableNode, Topology};
 
-use crate::config::{ColoringConfig, Engine, Transport};
+use crate::config::{ColoringConfig, Transport};
 use crate::error::CoreError;
 
 /// What comes back from [`run_protocol`]: final protocol states plus the
@@ -46,20 +44,29 @@ impl<P> EngineRun<P> {
 }
 
 /// Run `factory`'s protocol on `topo` under the engine and transport the
-/// config selects, feeding telemetry events to `tracer` (callers pass
+/// config selects, applying `schedule`'s churn batches mid-run and
+/// feeding telemetry events to `tracer` (callers pass
+/// [`ChurnSchedule::empty`] for a static run and
 /// [`NoopTracer`](dima_sim::telemetry::NoopTracer) when untraced — the
-/// tracing branches monomorphize away,
-/// so the untraced call costs nothing; the equivalence proptests in
+/// tracing branches monomorphize away, so the untraced call costs
+/// nothing; the equivalence proptests in
 /// `tests/telemetry_equivalence.rs` pin that down). `bare_max_rounds` is
 /// the round budget a bare run gets; the reliable transport scales it by
 /// [`ArqConfig::round_budget`] to cover retransmission stalls and
 /// link-death detection.
 ///
+/// A non-empty schedule needs the bare transport: the ARQ layer binds
+/// its sequence numbers and liveness probes to a static neighbor set
+/// (message-loss and crash faults compose fine). It also turns on
+/// per-round stats — [`crate::churn::BatchReport`]s need them to locate
+/// quiescence.
+///
 /// [`ArqConfig::round_budget`]: dima_sim::ArqConfig::round_budget
-pub(crate) fn run_protocol_traced<P, F, T>(
+pub(crate) fn run_protocol<P, F, T>(
     topo: &Topology,
     cfg: &ColoringConfig,
     bare_max_rounds: u64,
+    schedule: &ChurnSchedule,
     factory: F,
     tracer: &mut T,
 ) -> Result<EngineRun<P>, CoreError>
@@ -68,15 +75,14 @@ where
     F: Fn(NodeSeed<'_>) -> P + Sync,
     T: Tracer + Sync,
 {
+    let churn = !schedule.is_empty();
     match cfg.transport {
         Transport::Bare => {
-            let engine_cfg = engine_config(cfg, bare_max_rounds);
-            let outcome = match cfg.engine {
-                Engine::Sequential => run_sequential_traced(topo, &engine_cfg, factory, tracer)?,
-                Engine::Parallel { threads } => {
-                    run_parallel_traced(topo, &engine_cfg, threads, factory, tracer)?
-                }
+            let engine_cfg = EngineConfig {
+                collect_round_stats: cfg.collect_round_stats || churn,
+                ..cfg.engine_config(bare_max_rounds)
             };
+            let outcome = run_with(topo, &engine_cfg, schedule, factory, tracer)?;
             Ok(EngineRun {
                 nodes: outcome.nodes,
                 stats: outcome.stats,
@@ -84,15 +90,15 @@ where
                 transport_overhead_rounds: 0,
             })
         }
+        Transport::Reliable(_) if churn => Err(CoreError::Config(
+            "churn runs require the bare transport: the ARQ layer assumes a static \
+             neighbor set (compose churn with message-loss faults directly instead)"
+                .into(),
+        )),
         Transport::Reliable(arq) => {
-            let engine_cfg = engine_config(cfg, arq.round_budget(bare_max_rounds));
+            let engine_cfg = cfg.engine_config(arq.round_budget(bare_max_rounds));
             let wrapped = ReliableNode::factory(arq, factory);
-            let outcome = match cfg.engine {
-                Engine::Sequential => run_sequential_traced(topo, &engine_cfg, wrapped, tracer)?,
-                Engine::Parallel { threads } => {
-                    run_parallel_traced(topo, &engine_cfg, threads, wrapped, tracer)?
-                }
-            };
+            let outcome = run_with(topo, &engine_cfg, schedule, wrapped, tracer)?;
             // The protocol's own round count is the fastest node's inner
             // progress: every non-crashed node reaches the same inner
             // round count it would in a bare run on the residual graph.
@@ -111,59 +117,5 @@ where
                 crashed: outcome.crashed,
             })
         }
-    }
-}
-
-/// [`run_protocol_traced`] under a churn schedule. Bare transport only:
-/// the ARQ layer binds its sequence numbers and liveness probes to a
-/// static neighbor set (message-loss and crash faults compose fine).
-/// Always collects per-round stats — [`crate::churn::BatchReport`]s need
-/// them to locate quiescence.
-pub(crate) fn run_protocol_churn_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &ColoringConfig,
-    max_rounds: u64,
-    schedule: &ChurnSchedule,
-    factory: F,
-    tracer: &mut T,
-) -> Result<EngineRun<P>, CoreError>
-where
-    P: Protocol,
-    F: Fn(NodeSeed<'_>) -> P + Sync,
-    T: Tracer + Sync,
-{
-    if cfg.transport != Transport::Bare {
-        return Err(CoreError::Config(
-            "churn runs require the bare transport: the ARQ layer assumes a static \
-             neighbor set (compose churn with message-loss faults directly instead)"
-                .into(),
-        ));
-    }
-    let engine_cfg = EngineConfig { collect_round_stats: true, ..engine_config(cfg, max_rounds) };
-    let outcome = match cfg.engine {
-        Engine::Sequential => {
-            run_sequential_churn_traced(topo, &engine_cfg, schedule, factory, tracer)?
-        }
-        Engine::Parallel { threads } => {
-            run_parallel_churn_traced(topo, &engine_cfg, threads, schedule, factory, tracer)?
-        }
-    };
-    Ok(EngineRun {
-        nodes: outcome.nodes,
-        stats: outcome.stats,
-        crashed: outcome.crashed,
-        transport_overhead_rounds: 0,
-    })
-}
-
-fn engine_config(cfg: &ColoringConfig, max_rounds: u64) -> EngineConfig {
-    EngineConfig {
-        seed: cfg.seed,
-        max_rounds,
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
     }
 }

@@ -3,7 +3,7 @@
 //! A [`ColoringService`] owns a live coloring of a mutating graph. Churn
 //! events are *staged* through the validating [`EventFeed`], *committed*
 //! as a batch whenever the repair automata are quiescent, and repaired
-//! incrementally by ticking the round [`Stepper`] — the service never
+//! incrementally by ticking the round [`EngineStepper`] — the service never
 //! blocks a query on a repair in flight.
 //!
 //! # Determinism and crash safety
@@ -28,7 +28,7 @@
 //! A convergence watchdog counts consecutive non-quiescent ticks in
 //! which the progress high-water mark (committed color slots plus done
 //! nodes) fails to rise; after [`ServiceConfig::watchdog_ticks`] of
-//! those it escalates to a full recolor via [`Stepper::restart`]. Each
+//! those it escalates to a full recolor via [`EngineStepper::restart`]. Each
 //! consecutive escalation doubles the stall threshold, so even a
 //! hair-trigger watchdog cannot livelock a legitimate repair.
 //! Escalations are recorded in the history (RNG streams continue
@@ -46,8 +46,8 @@ use dima_sim::telemetry::read::{parse_line, Record};
 use dima_sim::telemetry::NoopTracer;
 use dima_sim::wire::crc32;
 use dima_sim::{
-    ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EventFeed, FeedError, NodeSeed,
-    ParStepper, SimError, Stepper, Topology,
+    ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EngineStepper, EventFeed, FeedError,
+    NodeSeed, SimError, Topology,
 };
 
 use crate::config::{
@@ -57,7 +57,7 @@ use crate::edge_coloring::EdgeColoringNode;
 use crate::error::CoreError;
 use crate::kempe::KempeReport;
 use crate::palette::{Color, ColorSet};
-use crate::runner::run_protocol_churn_traced;
+use crate::runner::run_protocol;
 use crate::strong_coloring::StrongColoringNode;
 
 /// Snapshot format version accepted by [`ColoringService::restore`].
@@ -504,76 +504,66 @@ pub fn hash_coloring(edges: &[ColoredEdge]) -> u64 {
 type EcFactory = Box<dyn Fn(NodeSeed<'_>) -> EdgeColoringNode + Send + Sync>;
 type StrongFactory = Box<dyn Fn(NodeSeed<'_>) -> StrongColoringNode + Send + Sync>;
 
+/// The running protocol; [`EngineStepper`] hides which engine runs it.
 enum Inner {
-    Ec(Stepper<EdgeColoringNode, EcFactory>),
-    Strong(Stepper<StrongColoringNode, StrongFactory>),
-    EcPar(ParStepper<EdgeColoringNode, EcFactory>),
-    StrongPar(ParStepper<StrongColoringNode, StrongFactory>),
-}
-
-/// Dispatch one method call over all four stepper variants (the
-/// sequential and parallel steppers expose the same API by design).
-macro_rules! each_stepper {
-    ($inner:expr, $s:ident => $body:expr) => {
-        match $inner {
-            Inner::Ec($s) => $body,
-            Inner::Strong($s) => $body,
-            Inner::EcPar($s) => $body,
-            Inner::StrongPar($s) => $body,
-        }
-    };
+    Ec(EngineStepper<EdgeColoringNode, EcFactory>),
+    Strong(EngineStepper<StrongColoringNode, StrongFactory>),
 }
 
 impl Inner {
     fn round(&self) -> u64 {
-        each_stepper!(self, s => s.round())
-    }
-
-    fn is_quiescent(&self) -> bool {
-        each_stepper!(self, s => s.is_quiescent())
-    }
-
-    fn still_active(&self) -> usize {
-        each_stepper!(self, s => s.still_active())
-    }
-
-    fn num_nodes(&self) -> usize {
-        each_stepper!(self, s => s.num_nodes())
-    }
-
-    fn topology(&self) -> &Topology {
-        each_stepper!(self, s => s.topology())
-    }
-
-    fn tick(&mut self, batch: Option<&ChurnBatch>) -> Result<dima_sim::RoundStats, SimError> {
-        each_stepper!(self, s => s.tick(batch, &mut NoopTracer))
-    }
-
-    fn restart(&mut self) {
-        each_stepper!(self, s => s.restart())
-    }
-
-    fn park_all(&mut self) {
-        each_stepper!(self, s => s.park_all())
-    }
-
-    /// The strong-coloring automata, when this service runs that
-    /// protocol (on either engine).
-    fn strong_nodes_mut(&mut self) -> Option<&mut [StrongColoringNode]> {
         match self {
-            Inner::Strong(s) => Some(s.nodes_mut()),
-            Inner::StrongPar(s) => Some(s.nodes_mut()),
-            Inner::Ec(_) | Inner::EcPar(_) => None,
+            Inner::Ec(s) => s.round(),
+            Inner::Strong(s) => s.round(),
         }
     }
 
-    /// The edge-coloring automata, when this service runs that protocol
-    /// (on either engine).
-    fn ec_nodes_mut(&mut self) -> Option<&mut [EdgeColoringNode]> {
+    fn is_quiescent(&self) -> bool {
         match self {
-            Inner::Ec(s) => Some(s.nodes_mut()),
-            Inner::EcPar(s) => Some(s.nodes_mut()),
-            Inner::Strong(_) | Inner::StrongPar(_) => None,
+            Inner::Ec(s) => s.is_quiescent(),
+            Inner::Strong(s) => s.is_quiescent(),
+        }
+    }
+
+    fn still_active(&self) -> usize {
+        match self {
+            Inner::Ec(s) => s.still_active(),
+            Inner::Strong(s) => s.still_active(),
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        match self {
+            Inner::Ec(s) => s.num_nodes(),
+            Inner::Strong(s) => s.num_nodes(),
+        }
+    }
+
+    fn topology(&self) -> &Topology {
+        match self {
+            Inner::Ec(s) => s.topology(),
+            Inner::Strong(s) => s.topology(),
+        }
+    }
+
+    fn tick(&mut self, batch: Option<&ChurnBatch>) -> Result<dima_sim::RoundStats, SimError> {
+        match self {
+            Inner::Ec(s) => s.tick(batch, &mut NoopTracer),
+            Inner::Strong(s) => s.tick(batch, &mut NoopTracer),
+        }
+    }
+
+    fn restart(&mut self) {
+        match self {
+            Inner::Ec(s) => s.restart(),
+            Inner::Strong(s) => s.restart(),
+        }
+    }
+
+    fn park_all(&mut self) {
+        match self {
+            Inner::Ec(s) => s.park_all(),
+            Inner::Strong(s) => s.park_all(),
         }
     }
 
@@ -583,15 +573,7 @@ impl Inner {
                 let nodes = s.nodes();
                 (nodes[u.0 as usize].color_toward(v), nodes[v.0 as usize].color_toward(u))
             }
-            Inner::EcPar(s) => {
-                let nodes = s.nodes();
-                (nodes[u.0 as usize].color_toward(v), nodes[v.0 as usize].color_toward(u))
-            }
             Inner::Strong(s) => {
-                let nodes = s.nodes();
-                (nodes[u.0 as usize].out_color_toward(v), nodes[v.0 as usize].out_color_toward(u))
-            }
-            Inner::StrongPar(s) => {
                 let nodes = s.nodes();
                 (nodes[u.0 as usize].out_color_toward(v), nodes[v.0 as usize].out_color_toward(u))
             }
@@ -599,7 +581,10 @@ impl Inner {
     }
 
     fn palette(&self, v: VertexId) -> Vec<Color> {
-        each_stepper!(self, s => s.nodes()[v.0 as usize].palette())
+        match self {
+            Inner::Ec(s) => s.nodes()[v.0 as usize].palette(),
+            Inner::Strong(s) => s.nodes()[v.0 as usize].palette(),
+        }
     }
 }
 
@@ -664,14 +649,14 @@ impl ColoringService {
     ) -> (Inner, Option<Digraph>, u32) {
         let delta = g.max_degree();
         let palette_bound = ((2 * delta).saturating_sub(1)).max(1) as u32;
+        // The service runs unbounded and never builds a run outcome, so
+        // the per-round and profiling collectors stay off.
         let engine_cfg = EngineConfig {
             seed: engine_seed,
-            max_rounds: u64::MAX,
             collect_round_stats: false,
-            validate_sends: cfg.coloring.validate_sends,
-            faults: FaultPlan::reliable(),
             profile: false,
             metrics: false,
+            ..cfg.coloring.engine_config(u64::MAX)
         };
         let topo = Topology::from_graph(g);
         let mut d0 = None;
@@ -681,12 +666,7 @@ impl ColoringService {
                 let factory: EcFactory = Box::new(move |seed: NodeSeed<'_>| {
                     EdgeColoringNode::new(&seed, &ccfg, palette_bound)
                 });
-                match cfg.coloring.engine {
-                    Engine::Sequential => Inner::Ec(Stepper::new(&topo, &engine_cfg, factory)),
-                    Engine::Parallel { threads } => {
-                        Inner::EcPar(ParStepper::new(&topo, &engine_cfg, threads, factory))
-                    }
-                }
+                Inner::Ec(EngineStepper::new(&topo, &engine_cfg, factory))
             }
             ServeProtocol::StrongColoring => {
                 let d = Digraph::symmetric_closure(g);
@@ -694,12 +674,7 @@ impl ColoringService {
                 let ccfg = cfg.coloring.clone();
                 let factory: StrongFactory =
                     Box::new(move |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &d, &ccfg));
-                match cfg.coloring.engine {
-                    Engine::Sequential => Inner::Strong(Stepper::new(&topo, &engine_cfg, factory)),
-                    Engine::Parallel { threads } => {
-                        Inner::StrongPar(ParStepper::new(&topo, &engine_cfg, threads, factory))
-                    }
-                }
+                Inner::Strong(EngineStepper::new(&topo, &engine_cfg, factory))
             }
         };
         (inner, d0, palette_bound)
@@ -1004,7 +979,7 @@ impl ColoringService {
         let ColorReduction::Kempe(kcfg) = self.cfg.coloring.reduction else {
             return None;
         };
-        if !matches!(self.inner, Inner::Ec(_) | Inner::EcPar(_)) {
+        if !matches!(self.inner, Inner::Ec(_)) {
             return None;
         }
         // Rebuild the live graph (edge ids: u ascending, then v) and
@@ -1066,12 +1041,15 @@ impl ColoringService {
                     (own, knowledge)
                 })
                 .collect();
-            // The protocol was matched as edge-coloring above; if the
-            // engine variant disagrees, skip the write-back rather than
-            // panic — the un-compacted coloring is still proper.
-            let nodes = self.inner.ec_nodes_mut()?;
+            let Inner::Ec(s) = &mut self.inner else { return None };
+            let nodes = s.nodes_mut();
             for (i, (own, knowledge)) in per_node.into_iter().enumerate() {
-                nodes[i].adopt_compaction(&own, knowledge);
+                // A departed node has no ports in the live topology but
+                // its parked automaton still holds its old neighbors;
+                // leave it alone (a rejoin builds a fresh instance).
+                if alive[i] {
+                    nodes[i].adopt_compaction(&own, knowledge);
+                }
             }
         }
         Some(report)
@@ -1156,67 +1134,77 @@ impl ColoringService {
                 (r, f)
             }
         };
-        let is_ec = matches!(inner, Inner::Ec(_) | Inner::EcPar(_));
-        let topo = inner.topology();
-        let n = topo.num_nodes();
-        if is_ec {
-            let palettes: Vec<ColorSet> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    topo.neighbors(u).iter().filter_map(|&v| slot(u, v).0).collect()
-                })
-                .collect();
-            let per_node: Vec<(Vec<Option<Color>>, Vec<ColorSet>)> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    let own = topo.neighbors(u).iter().map(|&v| slot(u, v).0).collect::<Vec<_>>();
-                    let knowledge =
-                        topo.neighbors(u).iter().map(|&v| palettes[v.index()].clone()).collect();
-                    (own, knowledge)
-                })
-                .collect();
-            let Some(nodes) = inner.ec_nodes_mut() else { return };
-            for (i, (own, knowledge)) in per_node.into_iter().enumerate() {
-                nodes[i].adopt_compaction(&own, knowledge);
+        match inner {
+            Inner::Ec(s) => {
+                let topo = s.topology();
+                let n = topo.num_nodes();
+                let palettes: Vec<ColorSet> = (0..n)
+                    .map(|i| {
+                        let u = VertexId(i as u32);
+                        topo.neighbors(u).iter().filter_map(|&v| slot(u, v).0).collect()
+                    })
+                    .collect();
+                let per_node: Vec<(Vec<Option<Color>>, Vec<ColorSet>)> = (0..n)
+                    .map(|i| {
+                        let u = VertexId(i as u32);
+                        let own =
+                            topo.neighbors(u).iter().map(|&v| slot(u, v).0).collect::<Vec<_>>();
+                        let knowledge = topo
+                            .neighbors(u)
+                            .iter()
+                            .map(|&v| palettes[v.index()].clone())
+                            .collect();
+                        (own, knowledge)
+                    })
+                    .collect();
+                let nodes = s.nodes_mut();
+                for (i, (own, knowledge)) in per_node.into_iter().enumerate() {
+                    nodes[i].adopt_compaction(&own, knowledge);
+                }
             }
-        } else {
-            // A strong-coloring node's forbidden set accumulates every
-            // channel it has seen claimed: its own plus whatever Used and
-            // Hello traffic from direct neighbors reported — exactly the
-            // one-hop committed channels at quiescence.
-            let incident: Vec<Vec<Color>> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    topo.neighbors(u)
-                        .iter()
-                        .flat_map(|&v| {
-                            let (out, inc) = slot(u, v);
-                            [out, inc]
-                        })
-                        .flatten()
-                        .collect()
-                })
-                .collect();
-            let per_node: Vec<StrongRebaseSlots> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    let out = topo.neighbors(u).iter().map(|&v| slot(u, v).0).collect::<Vec<_>>();
-                    let inc = topo.neighbors(u).iter().map(|&v| slot(u, v).1).collect::<Vec<_>>();
-                    let forbidden: ColorSet = incident[i]
-                        .iter()
-                        .copied()
-                        .chain(
-                            topo.neighbors(u)
-                                .iter()
-                                .flat_map(|&v| incident[v.index()].iter().copied()),
-                        )
-                        .collect();
-                    (out, inc, forbidden)
-                })
-                .collect();
-            let Some(nodes) = inner.strong_nodes_mut() else { return };
-            for (i, (out, inc, forbidden)) in per_node.into_iter().enumerate() {
-                nodes[i].adopt_rebase(&out, &inc, forbidden);
+            Inner::Strong(s) => {
+                let topo = s.topology();
+                let n = topo.num_nodes();
+                // A strong-coloring node's forbidden set accumulates every
+                // channel it has seen claimed: its own plus whatever Used and
+                // Hello traffic from direct neighbors reported — exactly the
+                // one-hop committed channels at quiescence.
+                let incident: Vec<Vec<Color>> = (0..n)
+                    .map(|i| {
+                        let u = VertexId(i as u32);
+                        topo.neighbors(u)
+                            .iter()
+                            .flat_map(|&v| {
+                                let (out, inc) = slot(u, v);
+                                [out, inc]
+                            })
+                            .flatten()
+                            .collect()
+                    })
+                    .collect();
+                let per_node: Vec<StrongRebaseSlots> = (0..n)
+                    .map(|i| {
+                        let u = VertexId(i as u32);
+                        let out =
+                            topo.neighbors(u).iter().map(|&v| slot(u, v).0).collect::<Vec<_>>();
+                        let inc =
+                            topo.neighbors(u).iter().map(|&v| slot(u, v).1).collect::<Vec<_>>();
+                        let forbidden: ColorSet = incident[i]
+                            .iter()
+                            .copied()
+                            .chain(
+                                topo.neighbors(u)
+                                    .iter()
+                                    .flat_map(|&v| incident[v.index()].iter().copied()),
+                            )
+                            .collect();
+                        (out, inc, forbidden)
+                    })
+                    .collect();
+                let nodes = s.nodes_mut();
+                for (i, (out, inc, forbidden)) in per_node.into_iter().enumerate() {
+                    nodes[i].adopt_rebase(&out, &inc, forbidden);
+                }
             }
         }
     }
@@ -2013,7 +2001,7 @@ impl ColoringService {
         let slots: Vec<ColoredEdge> = match self.cfg.protocol {
             ServeProtocol::EdgeColoring => {
                 let bound = self.palette_bound0;
-                let run = run_protocol_churn_traced(
+                let run = run_protocol(
                     &topo,
                     &cfg,
                     max_rounds,
@@ -2038,7 +2026,7 @@ impl ColoringService {
                         "strong-coloring service lost its digraph".into(),
                     ));
                 };
-                let run = run_protocol_churn_traced(
+                let run = run_protocol(
                     &topo,
                     &cfg,
                     max_rounds,

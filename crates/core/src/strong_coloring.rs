@@ -33,7 +33,7 @@ use crate::churn::{batch_reports, ChurnStrongResult};
 use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy};
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet};
-use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
+use crate::runner::run_protocol;
 
 /// Messages of Algorithm 2. All broadcast — overhearing is what makes the
 /// same-round conflict detection of Procedure 2-b work.
@@ -180,7 +180,8 @@ pub struct StrongColoringNode {
     /// not wake-class — parking early would blind the watch. Decremented
     /// at the park gates, 0 in static runs.
     vigil: u32,
-    /// Automata state after the last round (for state censuses).
+    /// Automata state after the last round (reported to tracers as
+    /// state events).
     state: &'static str,
 }
 
@@ -894,12 +895,6 @@ impl Protocol for StrongColoringNode {
     }
 }
 
-impl dima_sim::trace::StateLabel for StrongColoringNode {
-    fn state_label(&self) -> &'static str {
-        self.state
-    }
-}
-
 /// The outcome of a strong-coloring run.
 #[derive(Clone, Debug)]
 pub struct StrongColoringResult {
@@ -957,7 +952,7 @@ pub fn strong_color_digraph_traced<T: Tracer + Sync>(
     let topo = Topology::from_digraph(d);
     let max_rounds = 3 * cfg.compute_round_budget(delta);
     let factory = |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, d, cfg);
-    let run = run_protocol_traced(&topo, cfg, max_rounds, factory, tracer)?;
+    let run = run_protocol(&topo, cfg, max_rounds, &ChurnSchedule::empty(), factory, tracer)?;
     let alive = run.alive();
 
     // Residual assembly: each arc takes its *tail's* committed channel
@@ -1046,7 +1041,7 @@ pub fn strong_color_churn_traced<T: Tracer + Sync>(
     let budget = 3 * cfg.compute_round_budget(delta);
     let max_rounds = schedule.last_round().map_or(budget, |lr| lr + budget);
     let factory = |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &d0, cfg);
-    let run = run_protocol_churn_traced(&topo, cfg, max_rounds, schedule, factory, tracer)?;
+    let run = run_protocol(&topo, cfg, max_rounds, schedule, factory, tracer)?;
     let batches = batch_reports(schedule, &run.stats);
     let alive = run.alive();
 

@@ -1,9 +1,9 @@
 //! Headless engine benchmark: the repo's perf trajectory starts here.
 //!
-//! Runs the criterion `engines` scenarios (and a broadcast-heavy gossip
-//! scenario that stresses the message plane directly) without the
-//! criterion harness, so CI and the BENCH_*.json trajectory can record
-//! wall-clock numbers from a plain `cargo run --release`. Output is a
+//! Runs DiMaEC on each engine (and a broadcast-heavy gossip scenario
+//! that stresses the message plane directly), so CI and the
+//! BENCH_*.json trajectory can record wall-clock numbers from a plain
+//! `cargo run --release`. Output is a
 //! single JSON document; pass `--before <path>` (a previous run of this
 //! bin) to embed that snapshot and per-scenario speedup ratios, or
 //! `--compare <path>` to do the same while interleaving the reps
@@ -34,8 +34,8 @@ use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
 use dima_sim::telemetry::{BatchSample, SloRecorder, TraceMeta, TraceWriter};
 use dima_sim::{
-    run_parallel, run_sequential, run_sequential_traced, ChurnEvent, EngineConfig, NodeSeed,
-    NodeStatus, Protocol, RoundCtx, Shared, Topology,
+    run, run_with, ChurnEvent, ChurnSchedule, EngineConfig, NodeSeed, NodeStatus, Protocol,
+    RoundCtx, Shared, Topology,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -196,17 +196,18 @@ fn small_gossip_scenario<'a>(
     name: &str,
     topo: &'a Topology,
     rounds: u64,
-    engine_threads: Option<usize>,
+    engine: Engine,
     reps: usize,
 ) -> Scenario<'a> {
     Scenario::new(name, reps, move |rep| {
-        let cfg =
-            EngineConfig { seed: 0x5AA + rep, max_rounds: rounds + 4, ..EngineConfig::default() };
-        let factory = |seed: NodeSeed<'_>| SmallGossip { rounds, digest: seed.node.0 as u64 };
-        let outcome = match engine_threads {
-            None => run_sequential(topo, &cfg, factory).expect("gossip run"),
-            Some(t) => run_parallel(topo, &cfg, t, factory).expect("gossip run"),
+        let cfg = EngineConfig {
+            seed: 0x5AA + rep,
+            max_rounds: rounds + 4,
+            engine,
+            ..EngineConfig::default()
         };
+        let factory = |seed: NodeSeed<'_>| SmallGossip { rounds, digest: seed.node.0 as u64 };
+        let outcome = run(topo, &cfg, factory).expect("gossip run");
         black_box(outcome.nodes.iter().map(|n| n.digest).fold(0u64, u64::wrapping_add));
     })
 }
@@ -225,7 +226,7 @@ fn gossip_scenario<'a>(
     topo: &'a Topology,
     rounds: u64,
     payload_len: usize,
-    engine_threads: Option<usize>,
+    engine: Engine,
     metrics: bool,
     reps: usize,
 ) -> Scenario<'a> {
@@ -234,6 +235,7 @@ fn gossip_scenario<'a>(
             seed: 0xB0A5 + rep,
             max_rounds: rounds + 4,
             metrics,
+            engine,
             ..EngineConfig::default()
         };
         let factory = |seed: NodeSeed<'_>| Gossip {
@@ -241,10 +243,7 @@ fn gossip_scenario<'a>(
             payload: Shared::new((0..payload_len as u64).map(|i| i ^ seed.node.0 as u64).collect()),
             digest: 0,
         };
-        let outcome = match engine_threads {
-            None => run_sequential(topo, &cfg, factory).expect("gossip run"),
-            Some(t) => run_parallel(topo, &cfg, t, factory).expect("gossip run"),
-        };
+        let outcome = run(topo, &cfg, factory).expect("gossip run");
         black_box(outcome.stats.metrics.is_some());
         black_box(outcome.nodes.iter().map(|n| n.digest).fold(0u64, u64::wrapping_add));
     })
@@ -281,7 +280,8 @@ fn gossip_traced_scenario<'a>(
             sample,
         };
         let mut w = TraceWriter::new(std::io::sink(), &meta);
-        let outcome = run_sequential_traced(topo, &cfg, factory, &mut w).expect("gossip run");
+        let outcome =
+            run_with(topo, &cfg, &ChurnSchedule::empty(), factory, &mut w).expect("gossip run");
         black_box(w.events_written());
         black_box(outcome.nodes.iter().map(|n| n.digest).fold(0u64, u64::wrapping_add));
     })
@@ -705,7 +705,7 @@ fn main() {
             &dense_topo,
             dense_rounds,
             payload_len,
-            None,
+            Engine::Sequential,
             false,
             reps,
         ));
@@ -726,7 +726,7 @@ fn main() {
             &dense_topo,
             dense_rounds,
             payload_len,
-            None,
+            Engine::Sequential,
             true,
             reps,
         ));
@@ -737,7 +737,7 @@ fn main() {
             &dense_topo,
             dense_rounds,
             payload_len,
-            Some(par_threads),
+            Engine::Parallel { threads: par_threads },
             false,
             reps,
         ));
@@ -747,7 +747,7 @@ fn main() {
             "small_broadcast_seq",
             &dense_topo,
             dense_rounds * 4,
-            None,
+            Engine::Sequential,
             reps,
         ));
     }
@@ -756,7 +756,7 @@ fn main() {
             &par_name("small_broadcast"),
             &dense_topo,
             dense_rounds * 4,
-            Some(par_threads),
+            Engine::Parallel { threads: par_threads },
             reps,
         ));
     }

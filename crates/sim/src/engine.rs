@@ -1,21 +1,38 @@
-//! The deterministic sequential engine — the reference implementation.
+//! The one run path: [`Engine`] picks the engine, [`EngineStepper`]
+//! drives it round by round, and [`run`] / [`run_with`] run it to
+//! quiescence.
 //!
-//! Nodes are stepped in id order; messages produced in round `r` are
-//! delivered (sorted by sender id) at round `r+1`; the run ends when every
-//! node has reported [`NodeStatus::Done`] or the round budget is
-//! exhausted. Given the same topology, config and factory, two runs are
-//! bit-identical — and so is a [`crate::par::run_parallel`] run, which the
-//! test suites verify.
+//! Both engines execute the paper's single synchronous round loop (§I-C):
+//! nodes are stepped in id order, messages produced in round `r` are
+//! delivered (sorted by sender id) at round `r+1`, and the run ends when
+//! every node has reported [`NodeStatus::Done`](crate::NodeStatus::Done)
+//! and the churn schedule is exhausted, or the round budget runs out.
+//! Given the same topology, config and factory, two runs are
+//! bit-identical, whichever [`Engine`] executes them.
 
-use dima_telemetry::{NoopTracer, Tracer};
+use dima_telemetry::{MetricsRegistry, NoopTracer, Tracer};
 
-use crate::churn::ChurnSchedule;
+use crate::churn::{ChurnBatch, ChurnSchedule};
 use crate::error::SimError;
 use crate::fault::FaultPlan;
+use crate::par::ParStepper;
 use crate::protocol::{NodeSeed, Protocol};
 use crate::stats::{RoundStats, RunStats};
 use crate::stepper::Stepper;
 use crate::topology::Topology;
+
+/// Which engine executes the protocol.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Deterministic single-threaded reference engine.
+    #[default]
+    Sequential,
+    /// Sharded multi-threaded engine; produces bit-identical results.
+    Parallel {
+        /// Number of worker threads.
+        threads: usize,
+    },
+}
 
 /// Engine configuration shared by both engines.
 #[derive(Clone, Debug)]
@@ -43,6 +60,8 @@ pub struct EngineConfig {
     /// entries which only appear when `profile` is also on (they are
     /// wall-clock and engine-specific by nature).
     pub metrics: bool,
+    /// Which engine executes the run.
+    pub engine: Engine,
 }
 
 impl Default for EngineConfig {
@@ -55,6 +74,7 @@ impl Default for EngineConfig {
             faults: FaultPlan::reliable(),
             profile: false,
             metrics: false,
+            engine: Engine::Sequential,
         }
     }
 }
@@ -63,6 +83,14 @@ impl EngineConfig {
     /// A config with the given seed and defaults elsewhere.
     pub fn seeded(seed: u64) -> Self {
         EngineConfig { seed, ..Default::default() }
+    }
+}
+
+#[cfg(test)]
+impl EngineConfig {
+    /// This config on the pooled engine with `threads` participants.
+    pub(crate) fn pooled(&self, threads: usize) -> Self {
+        EngineConfig { engine: Engine::Parallel { threads }, ..self.clone() }
     }
 }
 
@@ -87,199 +115,261 @@ impl<P> RunOutcome<P> {
     }
 }
 
-/// What an observer sees after each communication round.
-#[derive(Debug)]
-pub struct RoundView<'a, P> {
-    /// 0-based round just executed.
-    pub round: u64,
-    /// Every node's protocol state (including done nodes).
-    pub nodes: &'a [P],
-    /// Which nodes have finished (as of the end of this round).
-    pub done: &'a [bool],
-    /// Which nodes have crash-stopped (as of the end of this round).
-    pub crashed: &'a [bool],
-    /// This round's counters.
-    pub stats: RoundStats,
-}
-
-/// Run `factory`-created protocols on `topo` until all nodes are done.
+/// Run `factory`-created protocols on `topo` until all nodes are done,
+/// on the engine `cfg` selects.
 ///
-/// The factory is called once per node, in node order, with the node's
-/// id and neighbor list.
-pub fn run_sequential<P, F>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
+/// The factory is called once per node with the node's id and neighbor
+/// list (by the worker owning the node's shard under the parallel
+/// engine, hence `Sync`).
+pub fn run<P, F>(topo: &Topology, cfg: &EngineConfig, factory: F) -> Result<RunOutcome<P>, SimError>
 where
     P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
 {
-    run_sequential_observed(topo, cfg, factory, |_| {})
+    run_with(topo, cfg, &ChurnSchedule::empty(), factory, &mut NoopTracer)
 }
 
-/// [`run_sequential`] under a topology-churn schedule (see
-/// [`run_sequential_churn_observed`] for the batch semantics).
-pub fn run_sequential_churn<P, F>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    schedule: &ChurnSchedule,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-{
-    run_sequential_churn_observed(topo, cfg, schedule, factory, |_| {})
-}
-
-/// [`run_sequential`] with a per-round observer — the hook behind state
-/// censuses ([`crate::trace`]) and mid-run inspection in tests. The
-/// observer runs after each round's done-flags merge, i.e. it sees
-/// exactly the state the next round will start from.
-pub fn run_sequential_observed<P, F, O>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    factory: F,
-    observer: O,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    O: FnMut(RoundView<'_, P>),
-{
-    run_sequential_churn_observed(topo, cfg, &ChurnSchedule::empty(), factory, observer)
-}
-
-/// [`run_sequential_observed`] under a topology-churn schedule.
+/// [`run`] under a topology-churn schedule, feeding telemetry events to
+/// `tracer`.
 ///
-/// Each [`crate::churn::ChurnBatch`] is applied at the top of its round,
-/// before any node is stepped: leavers are parked as done with their
-/// inboxes cleared, joiners get a *fresh* protocol instance from the
-/// factory (but keep their RNG stream — node randomness is a function of
-/// `(seed, node id)` alone, in both engines), and every surviving node
-/// with a neighborhood diff is told through
-/// [`Protocol::on_topology_change`], whose return value replaces its done
-/// flag. The run ends when every node is done *and* the schedule is
-/// exhausted — parked nodes idle through quiescent stretches between
-/// batches.
-pub fn run_sequential_churn_observed<P, F, O>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    schedule: &ChurnSchedule,
-    factory: F,
-    observer: O,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    O: FnMut(RoundView<'_, P>),
-{
-    run_sequential_churn_observed_traced(topo, cfg, schedule, factory, observer, &mut NoopTracer)
-}
-
-/// [`run_sequential`] feeding telemetry events to `tracer` (see
-/// [`dima_telemetry`]). With [`NoopTracer`] this is exactly
-/// [`run_sequential`]: the tracing branches test an associated constant
-/// and monomorphize away.
-pub fn run_sequential_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    factory: F,
-    tracer: &mut T,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    T: Tracer,
-{
-    run_sequential_churn_observed_traced(
-        topo,
-        cfg,
-        &ChurnSchedule::empty(),
-        factory,
-        |_| {},
-        tracer,
-    )
-}
-
-/// [`run_sequential_traced`] under a topology-churn schedule.
-pub fn run_sequential_churn_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    schedule: &ChurnSchedule,
-    factory: F,
-    tracer: &mut T,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    T: Tracer,
-{
-    run_sequential_churn_observed_traced(topo, cfg, schedule, factory, |_| {}, tracer)
-}
-
-/// The fully-general sequential entry point: churn schedule + per-round
-/// observer + telemetry tracer. Every other `run_sequential*` wrapper
-/// delegates here.
+/// Each [`ChurnBatch`] is applied at the top of its round, before any
+/// node is stepped: leavers are parked as done with their inboxes
+/// cleared, joiners get a *fresh* protocol instance from the factory (but
+/// keep their RNG stream — node randomness is a function of
+/// `(seed, node id)` alone), and every surviving node with a neighborhood
+/// diff is told through [`Protocol::on_topology_change`], whose return
+/// value replaces its done flag. The run ends when every node is done
+/// *and* the schedule is exhausted — parked nodes idle through quiescent
+/// stretches between batches, which the loop fast-forwards.
 ///
 /// Telemetry events are emitted in the canonical deterministic order
 /// (see [`dima_telemetry::event`]): per round, the churn batch summary,
 /// node events in node-id order, per-message-kind counters in kind-name
-/// order, then the round footer. The parallel engine reproduces this
-/// exact sequence.
-pub fn run_sequential_churn_observed_traced<P, F, O, T>(
+/// order, then the round footer — the same sequence on both engines.
+/// With [`NoopTracer`] every tracing branch folds away at
+/// monomorphization, so `run_with(.., &mut NoopTracer)` *is* [`run`].
+pub fn run_with<P, F, T>(
     topo: &Topology,
     cfg: &EngineConfig,
     schedule: &ChurnSchedule,
     factory: F,
-    mut observer: O,
     tracer: &mut T,
 ) -> Result<RunOutcome<P>, SimError>
 where
     P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    O: FnMut(RoundView<'_, P>),
-    T: Tracer,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
+    T: Tracer + Sync,
 {
-    let mut stepper = Stepper::new(topo, cfg, factory);
-    let n = stepper.num_nodes();
-    if n == 0 {
-        return Ok(stepper.into_outcome(0, 0));
+    if topo.num_nodes() == 0 {
+        return Ok(RunOutcome {
+            nodes: Vec::new(),
+            stats: RunStats {
+                per_round: cfg.collect_round_stats.then(Vec::new),
+                metrics: cfg.metrics.then(|| Box::new(MetricsRegistry::new())),
+                ..Default::default()
+            },
+            crashed: Vec::new(),
+        });
     }
-    let mut next_batch = 0usize;
-    while stepper.executed() < cfg.max_rounds {
-        let batch = schedule.batches().get(next_batch).filter(|b| b.round == stepper.round());
-        if batch.is_some() {
-            next_batch += 1;
+    EngineStepper::new(topo, cfg, factory).run_schedule(cfg.max_rounds, schedule, tracer)
+}
+
+/// A step-wise handle on either engine: one communication round per
+/// [`EngineStepper::tick`].
+///
+/// [`run_with`] is a run-to-quiescence loop over this type, so a handle
+/// driven tick by tick is *bit-identical* to a batch run over the same
+/// inputs: same per-node RNG streams, same delivery order, same
+/// churn-batch semantics. That split is what lets a long-lived service
+/// (`dima serve`) interleave repair rounds with event ingest and
+/// snapshot queries while keeping the determinism guarantees the batch
+/// entry points are tested for.
+///
+/// The caller owns the loop: it decides when to tick, which
+/// [`ChurnBatch`] (if any) fires at the top of a round, and when to
+/// stop. There is no round budget here — budget enforcement stays with
+/// the caller.
+pub struct EngineStepper<P: Protocol, F> {
+    inner: Inner<P, F>,
+}
+
+/// The two implementations of the round loop. The sequential stepper is
+/// the reference every bit-identity test compares the pool against.
+enum Inner<P: Protocol, F> {
+    Seq(Stepper<P, F>),
+    Pool(ParStepper<P, F>),
+}
+
+/// Forward one method call to whichever engine is running.
+macro_rules! dispatch {
+    ($self:expr, $s:ident => $body:expr) => {
+        match $self {
+            Inner::Seq($s) => $body,
+            Inner::Pool($s) => $body,
         }
-        let rs = stepper.tick(batch, tracer)?;
-        observer(stepper.view(rs));
-        if stepper.is_quiescent() {
-            if next_batch == schedule.len() {
-                return Ok(
-                    stepper.into_outcome(schedule.len() as u64, schedule.total_events() as u64)
-                );
+    };
+}
+
+impl<P, F> EngineStepper<P, F>
+where
+    P: Protocol,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
+{
+    /// Create the per-node protocol instances on `topo` for the engine
+    /// `cfg` selects, and stand ready at round 0. The factory is called
+    /// once per node in node order, and kept for churn joins and
+    /// [`EngineStepper::restart`]. A parallel engine's thread count is
+    /// clamped to `[1, n]`.
+    pub fn new(topo: &Topology, cfg: &EngineConfig, factory: F) -> Self {
+        let inner = match cfg.engine {
+            Engine::Sequential => Inner::Seq(Stepper::new(topo, cfg, factory)),
+            Engine::Parallel { threads } => {
+                Inner::Pool(ParStepper::new(topo, cfg, threads, factory))
             }
-            // Idle-round fast-forward: this round was fully quiescent (no
-            // node stepped, so nothing is in flight) yet every node is
-            // parked waiting for a future churn batch. Its `active == 0`
-            // stats row above is the quiescence marker batch reports key
-            // off; jump straight to the batch round instead of spinning
-            // the gap one empty round at a time. The decision is a pure
-            // function of state both engines share, so they jump
-            // identically.
-            if rs.active == 0 {
-                if let Some(b) = schedule.batches().get(next_batch) {
-                    stepper.skip_to_round(b.round);
+        };
+        EngineStepper { inner }
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        dispatch!(&self.inner, s => s.num_nodes())
+    }
+
+    /// The round the next [`EngineStepper::tick`] will execute.
+    pub fn round(&self) -> u64 {
+        dispatch!(&self.inner, s => s.round())
+    }
+
+    /// Rounds actually executed so far (excludes skipped idle rounds).
+    fn executed(&self) -> u64 {
+        dispatch!(&self.inner, s => s.executed())
+    }
+
+    /// True when every node is parked (done or crashed) — quiescence.
+    /// A churn batch or [`EngineStepper::restart`] re-activates nodes.
+    pub fn is_quiescent(&self) -> bool {
+        dispatch!(&self.inner, s => s.is_quiescent())
+    }
+
+    /// Nodes still active (not done, not crashed).
+    pub fn still_active(&self) -> usize {
+        dispatch!(&self.inner, s => s.still_active())
+    }
+
+    /// Current protocol state per node, by node id.
+    pub fn nodes(&self) -> &[P] {
+        dispatch!(&self.inner, s => s.nodes())
+    }
+
+    /// Mutable access to the protocol instances, for hosts that apply an
+    /// out-of-band pass between repairs (e.g. serve-mode palette
+    /// compaction) and write the outcome back into the parked automata.
+    /// The engine does not re-validate node state — callers must
+    /// preserve the protocol's invariants.
+    pub fn nodes_mut(&mut self) -> &mut [P] {
+        dispatch!(&mut self.inner, s => s.nodes_mut())
+    }
+
+    /// The topology currently in force (swapped by churn batches).
+    pub fn topology(&self) -> &Topology {
+        dispatch!(&self.inner, s => s.topology())
+    }
+
+    /// Jump the round clock forward to `target` without executing the
+    /// intervening rounds — the idle fast-forward. Only legal when the
+    /// stepper is quiescent with empty mailboxes (nothing can happen in
+    /// the skipped rounds); a no-op when `target` is not ahead.
+    fn skip_to_round(&mut self, target: u64) {
+        dispatch!(&mut self.inner, s => s.skip_to_round(target))
+    }
+
+    /// Throw away every surviving node's protocol state and start the
+    /// algorithm over on the current topology: fresh factory instances,
+    /// cleared mailboxes, all done flags reset. RNG streams continue from
+    /// where they are (node randomness stays a function of the executed
+    /// step sequence), so a restart is exactly as deterministic as the
+    /// rounds that led to it — the escalation path of `dima serve`'s
+    /// convergence watchdog relies on that.
+    pub fn restart(&mut self) {
+        dispatch!(&mut self.inner, s => s.restart())
+    }
+
+    /// Park every surviving node as done without stepping it, leaving
+    /// protocol state exactly as constructed. This is the bootstrap for a
+    /// *rebased* service: after history compaction the nodes are built
+    /// directly in a settled configuration (adopting a previously
+    /// converged coloring), so the stepper must start quiescent instead
+    /// of running the algorithm from scratch. Mailboxes are cleared; the
+    /// round clock is untouched. Wake-class traffic (a later churn batch)
+    /// un-parks nodes exactly as it would after natural convergence.
+    pub fn park_all(&mut self) {
+        dispatch!(&mut self.inner, s => s.park_all())
+    }
+
+    /// Execute one communication round: apply `batch` first if given
+    /// (its [`ChurnBatch::round`] must equal [`EngineStepper::round`]),
+    /// step every active node, deliver, merge done/wake flags at the
+    /// boundary, and advance the round clock. Returns the round's
+    /// counters, or [`SimError::NotANeighbor`] if a protocol unicast an
+    /// illegal destination while [`EngineConfig::validate_sends`] is on.
+    /// The stepper is not usable after an error, nor after a protocol
+    /// panic (which the parallel engine re-raises here).
+    ///
+    /// The tracer type must stay consistent across the stepper's life —
+    /// per-kind message counters are only maintained when a real tracer
+    /// is attached on the first tick.
+    pub fn tick<T: Tracer + Sync>(
+        &mut self,
+        batch: Option<&ChurnBatch>,
+        tracer: &mut T,
+    ) -> Result<RoundStats, SimError> {
+        dispatch!(&mut self.inner, s => s.tick(batch, tracer))
+    }
+
+    /// Consume the stepper into a [`RunOutcome`], recording how much
+    /// churn was applied over its lifetime.
+    pub(crate) fn into_outcome(self, churn_batches: u64, churn_events: u64) -> RunOutcome<P> {
+        dispatch!(self.inner, s => s.into_outcome(churn_batches, churn_events))
+    }
+
+    /// The run-to-quiescence loop behind [`run_with`]: fire each batch
+    /// at the top of its round, stop once every node is parked and the
+    /// schedule is exhausted, and fast-forward idle stretches between
+    /// batches.
+    fn run_schedule<T: Tracer + Sync>(
+        mut self,
+        max_rounds: u64,
+        schedule: &ChurnSchedule,
+        tracer: &mut T,
+    ) -> Result<RunOutcome<P>, SimError> {
+        let mut next_batch = 0usize;
+        while self.executed() < max_rounds {
+            let batch = schedule.batches().get(next_batch).filter(|b| b.round == self.round());
+            if batch.is_some() {
+                next_batch += 1;
+            }
+            let rs = self.tick(batch, tracer)?;
+            if self.is_quiescent() {
+                if next_batch == schedule.len() {
+                    return Ok(
+                        self.into_outcome(schedule.len() as u64, schedule.total_events() as u64)
+                    );
+                }
+                // Idle-round fast-forward: this round was fully quiescent
+                // (no node stepped, so nothing is in flight) yet every
+                // node is parked waiting for a future churn batch. Its
+                // `active == 0` stats row is the quiescence marker batch
+                // reports key off; jump straight to the batch round
+                // instead of spinning the gap one empty round at a time.
+                if rs.active == 0 {
+                    if let Some(b) = schedule.batches().get(next_batch) {
+                        self.skip_to_round(b.round);
+                    }
                 }
             }
         }
+        Err(SimError::MaxRoundsExceeded { max_rounds, still_active: self.still_active() })
     }
-    Err(SimError::MaxRoundsExceeded {
-        max_rounds: cfg.max_rounds,
-        still_active: stepper.still_active(),
-    })
 }
 
 #[cfg(test)]
@@ -324,7 +414,7 @@ mod tests {
     fn flood_completes_in_two_rounds() {
         let g = structured::cycle(8);
         let topo = Topology::from_graph(&g);
-        let out = run_sequential(&topo, &EngineConfig::seeded(1), flood_factory).unwrap();
+        let out = run(&topo, &EngineConfig::seeded(1), flood_factory).unwrap();
         assert_eq!(out.stats.rounds, 2);
         assert_eq!(out.stats.messages_sent, 8);
         assert_eq!(out.stats.deliveries, 16);
@@ -340,7 +430,7 @@ mod tests {
     fn inbox_is_sorted_by_sender() {
         let g = structured::star(6);
         let topo = Topology::from_graph(&g);
-        let out = run_sequential(&topo, &EngineConfig::seeded(1), flood_factory).unwrap();
+        let out = run(&topo, &EngineConfig::seeded(1), flood_factory).unwrap();
         // Hub (node 0) heard all leaves, delivered in sender order.
         let heard = &out.nodes[0].heard;
         let mut sorted = heard.clone();
@@ -351,7 +441,7 @@ mod tests {
     #[test]
     fn empty_topology_finishes_immediately() {
         let topo = Topology::from_graph(&Graph::empty(0));
-        let out = run_sequential(&topo, &EngineConfig::default(), flood_factory).unwrap();
+        let out = run(&topo, &EngineConfig::default(), flood_factory).unwrap();
         assert_eq!(out.stats.rounds, 0);
         assert!(out.nodes.is_empty());
     }
@@ -359,7 +449,7 @@ mod tests {
     #[test]
     fn isolated_nodes_finish_in_one_round() {
         let topo = Topology::from_graph(&Graph::empty(4));
-        let out = run_sequential(&topo, &EngineConfig::default(), flood_factory).unwrap();
+        let out = run(&topo, &EngineConfig::default(), flood_factory).unwrap();
         assert_eq!(out.stats.rounds, 1);
         assert_eq!(out.stats.messages_sent, 4); // broadcasts to nobody
         assert_eq!(out.stats.deliveries, 0);
@@ -379,7 +469,7 @@ mod tests {
     fn round_budget_enforced() {
         let topo = Topology::from_graph(&structured::path(3));
         let cfg = EngineConfig { max_rounds: 10, ..Default::default() };
-        let err = run_sequential(&topo, &cfg, |_| Forever).unwrap_err();
+        let err = run(&topo, &cfg, |_| Forever).unwrap_err();
         assert_eq!(err, SimError::MaxRoundsExceeded { max_rounds: 10, still_active: 3 });
     }
 
@@ -397,7 +487,7 @@ mod tests {
     #[test]
     fn unicast_to_non_neighbor_rejected() {
         let topo = Topology::from_graph(&structured::path(3)); // 0-1-2
-        let err = run_sequential(&topo, &EngineConfig::default(), |_| BadSender).unwrap_err();
+        let err = run(&topo, &EngineConfig::default(), |_| BadSender).unwrap_err();
         assert_eq!(err, SimError::NotANeighbor { from: VertexId(0), to: VertexId(2) });
     }
 
@@ -407,7 +497,7 @@ mod tests {
         let cfg = EngineConfig { validate_sends: false, ..Default::default() };
         // With validation off the bogus send is routed (still only to the
         // inbox of node 2) and the run completes.
-        let out = run_sequential(&topo, &cfg, |_| BadSender).unwrap();
+        let out = run(&topo, &cfg, |_| BadSender).unwrap();
         assert_eq!(out.stats.rounds, 1);
     }
 
@@ -415,7 +505,7 @@ mod tests {
     fn per_round_stats_collected_when_asked() {
         let topo = Topology::from_graph(&structured::cycle(4));
         let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(3) };
-        let out = run_sequential(&topo, &cfg, flood_factory).unwrap();
+        let out = run(&topo, &cfg, flood_factory).unwrap();
         let pr = out.stats.per_round.as_ref().unwrap();
         assert_eq!(pr.len(), 2);
         assert_eq!(pr[0].active, 4);
@@ -431,7 +521,7 @@ mod tests {
             max_rounds: 20,
             ..EngineConfig::seeded(3)
         };
-        let err = run_sequential(&topo, &cfg, flood_factory).unwrap_err();
+        let err = run(&topo, &cfg, flood_factory).unwrap_err();
         assert!(matches!(err, SimError::MaxRoundsExceeded { .. }));
     }
 
@@ -442,7 +532,7 @@ mod tests {
             faults: FaultPlan { duplicate_probability: 1.0, ..FaultPlan::reliable() },
             ..EngineConfig::seeded(5)
         };
-        let out = run_sequential(&topo, &cfg, flood_factory).unwrap();
+        let out = run(&topo, &cfg, flood_factory).unwrap();
         // 4 broadcasts, 8 base deliveries, each duplicated.
         assert_eq!(out.stats.rounds, 2);
         assert_eq!(out.stats.messages_sent, 4);
@@ -477,7 +567,7 @@ mod tests {
             faults: FaultPlan { corrupt_probability: 0.5, ..FaultPlan::reliable() },
             ..EngineConfig::seeded(5)
         };
-        let out = run_sequential(&topo, &cfg, |_| Chatter).unwrap();
+        let out = run(&topo, &cfg, |_| Chatter).unwrap();
         assert!(out.stats.corrupted > 0);
         assert_eq!(out.stats.dropped, 0);
     }
@@ -492,7 +582,7 @@ mod tests {
             max_rounds: 100,
             ..EngineConfig::seeded(7)
         };
-        let out = run_sequential(&topo, &cfg, |_| Forever).unwrap();
+        let out = run(&topo, &cfg, |_| Forever).unwrap();
         assert_eq!(out.stats.crashed, 4);
         assert!(out.crashed.iter().all(|&c| c));
         assert!(out.stats.rounds <= 3 + cfg.faults.crash_spread);
@@ -507,7 +597,7 @@ mod tests {
             faults: FaultPlan { crash_spread: 1, ..FaultPlan::crashing(1.0, 1) },
             ..EngineConfig::seeded(7)
         };
-        let out = run_sequential(&topo, &cfg, flood_factory).unwrap();
+        let out = run(&topo, &cfg, flood_factory).unwrap();
         assert_eq!(out.stats.deliveries, 0);
         assert_eq!(out.stats.crashed, 2);
         for node in &out.nodes {
@@ -518,8 +608,8 @@ mod tests {
     #[test]
     fn runs_are_reproducible() {
         let topo = Topology::from_graph(&structured::cycle(10));
-        let a = run_sequential(&topo, &EngineConfig::seeded(9), flood_factory).unwrap();
-        let b = run_sequential(&topo, &EngineConfig::seeded(9), flood_factory).unwrap();
+        let a = run(&topo, &EngineConfig::seeded(9), flood_factory).unwrap();
+        let b = run(&topo, &EngineConfig::seeded(9), flood_factory).unwrap();
         assert_eq!(a.stats, b.stats);
     }
 
@@ -542,7 +632,7 @@ mod tests {
             }
         }
         let topo = Topology::from_graph(&structured::complete(3));
-        let out = run_sequential(&topo, &EngineConfig::default(), |seed| Spammer {
+        let out = run(&topo, &EngineConfig::default(), |seed| Spammer {
             quit_early: seed.node == VertexId(0),
         })
         .unwrap();

@@ -8,36 +8,38 @@
 //!
 //! This crate implements that model. Each vertex of a graph becomes a
 //! compute node running a [`Protocol`] — a state machine that is handed
-//! its inbox once per communication round and fills an outbox. Two engines
-//! execute protocols:
+//! its inbox once per communication round and fills an outbox.
 //!
-//! * [`engine::run_sequential`] — a deterministic single-threaded engine,
-//!   the reference implementation used by experiments;
-//! * [`par::run_parallel`] — a multi-threaded engine (one worker per shard
-//!   of nodes, lockstep barriers between rounds) that produces
-//!   **bit-identical** results to the sequential engine, because all
-//!   randomness is drawn from per-node RNGs seeded only by
-//!   `(master seed, node id)` and inboxes are delivered in sender order.
+//! There is one run path:
 //!
-//! Instrumentation ([`stats`]) counts rounds, sends and deliveries —
-//! the quantities the paper's figures report; [`trace`] adds per-round
-//! automata-state censuses via an observer hook. [`fault`] can inject
-//! deterministic message loss to demonstrate that the algorithms' safety
-//! depends on the reliable-delivery assumption. [`wire`] provides a
-//! compact binary envelope encoding for protocols that want to measure
-//! bytes-on-the-wire rather than message counts. [`churn`] compiles
-//! deterministic topology-mutation schedules (`LinkUp` / `LinkDown` /
-//! `NodeJoin` / `NodeLeave`) that both engines apply mid-run — still
-//! bit-identically — so protocols can repair their state incrementally
-//! instead of restarting.
+//! * [`run`] runs a protocol to quiescence; [`run_with`] adds a churn
+//!   schedule and a telemetry tracer. With an empty schedule and the
+//!   default [`telemetry::NoopTracer`], `run_with` *is* `run`: every
+//!   tracing branch folds away at monomorphization.
+//! * [`EngineStepper`] is the same loop one round per call, for hosts
+//!   that interleave rounds with other work (`dima serve`).
+//! * [`EngineConfig::engine`] picks the [`Engine`] that executes it:
+//!   the deterministic single-threaded reference engine
+//!   ([`stepper`]), or the sharded pool engine ([`par`]: one participant
+//!   per shard of nodes, lockstep barriers between rounds). The two are
+//!   **bit-identical** — all randomness is drawn from per-node RNGs
+//!   seeded only by `(master seed, node id)` and inboxes are delivered in
+//!   sender order — down to the telemetry event stream.
 //!
-//! The telemetry plane ([`dima_telemetry`], re-exported as
-//! [`telemetry`]) adds structured per-round tracing: both engines have
-//! `*_traced` variants taking a [`telemetry::Tracer`], and with the
-//! default [`telemetry::NoopTracer`] every tracing branch folds away at
-//! monomorphization — the traced entry points *are* the plain ones.
-//! Event streams are deterministic and engine-independent: a parallel
-//! run replays, event for event, the sequence a sequential run emits.
+//! Around that loop: [`stats`] counts rounds, sends and deliveries — the
+//! quantities the paper's figures report. [`fault`] injects
+//! deterministic message loss, duplication, corruption and crashes to
+//! show that the algorithms' safety depends on the reliable-delivery
+//! assumption, and [`reliable`] wraps a protocol in an ARQ layer that
+//! restores it. [`wire`] provides a compact binary envelope encoding for
+//! protocols that want to measure bytes on the wire rather than message
+//! counts. [`churn`] compiles deterministic topology-mutation schedules
+//! (`LinkUp` / `LinkDown` / `NodeJoin` / `NodeLeave`) that both engines
+//! apply mid-run, so protocols can repair their state incrementally
+//! instead of restarting. The telemetry plane ([`dima_telemetry`],
+//! re-exported as [`telemetry`]) turns a run into structured per-round
+//! events; its `StateTimeline` sink folds them into per-round automata
+//! state censuses.
 
 #![deny(missing_docs)]
 // Unsafe is denied crate-wide; the two modules that implement the
@@ -57,7 +59,6 @@ pub mod rng;
 pub mod stats;
 pub mod stepper;
 pub mod topology;
-pub mod trace;
 pub mod wire;
 
 #[cfg(test)]
@@ -69,17 +70,9 @@ pub use churn::{
     ChurnBatch, ChurnEvent, ChurnKinds, ChurnPlan, ChurnSchedule, EventFeed, FeedError,
     NeighborhoodChange,
 };
-pub use engine::{
-    run_sequential, run_sequential_churn, run_sequential_churn_observed,
-    run_sequential_churn_traced, run_sequential_observed, run_sequential_traced, EngineConfig,
-    RoundView, RunOutcome,
-};
+pub use engine::{run, run_with, Engine, EngineConfig, EngineStepper, RunOutcome};
 pub use error::SimError;
-pub use par::{
-    run_parallel, run_parallel_churn, run_parallel_churn_traced, run_parallel_traced, ParStepper,
-};
 pub use protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
 pub use reliable::{ArqConfig, ArqMsg, ReliableNode};
 pub use stats::{RoundStats, RunStats};
-pub use stepper::Stepper;
 pub use topology::Topology;

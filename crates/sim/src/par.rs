@@ -8,7 +8,7 @@
 //! round — and the caller itself drives shard 0, so `threads == 1` never
 //! touches the pool at all.
 //!
-//! Each communication round is one [`ParStepper::tick`]. Within a tick,
+//! Each communication round is one `ParStepper::tick`. Within a tick,
 //! the participants move through phases separated by an
 //! [`EpochBarrier`]:
 //!
@@ -34,14 +34,20 @@
 //!
 //! Combined with per-node RNGs seeded only by `(master seed, node id)`
 //! (see [`crate::rng`]) and hash-based fault decisions, a parallel run is
-//! *bit-identical* to a sequential run with the same config: same final
-//! protocol states, same aggregate message counts, same round count.
-//! [`ParStepper`] deliberately mirrors [`crate::Stepper`]'s API so
-//! step-wise hosts (the serve-mode [`ColoringService`]) can drive either
-//! engine through the same loop; the batch entry points below are the
-//! same thin run-to-quiescence loop the sequential engine uses.
+//! *bit-identical* to a sequential run ([`crate::stepper`]) with the same
+//! config: same final protocol states, same aggregate message counts,
+//! same round count. Hosts reach this engine through
+//! [`crate::EngineStepper`] (with [`crate::Engine::Parallel`]), which
+//! also owns the run-to-quiescence loop; `ParStepper` implements the
+//! same per-round methods as the sequential stepper, and nothing else.
+//! `threads == 1` still takes the sharded path (useful for testing).
 //!
-//! [`ColoringService`]: ../../dima_core/struct.ColoringService.html
+//! Telemetry follows the same rule: workers buffer events per shard,
+//! stamped with the engine round and node id, and at each round boundary
+//! the buffers merge into the canonical order
+//! ([`dima_telemetry::merge_shards`]) and replay into the tracer — the
+//! event sequence a sequential run emits. The tracer must be `Sync`
+//! because workers consult its sampling predicate.
 
 // The in-place message plane shares per-node arrays across the pool
 // scope through raw pointers with barrier-enforced phase discipline;
@@ -56,12 +62,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use dima_graph::VertexId;
 use dima_telemetry::{
     merge_shards, Event, EventSink, KindTable, KindTotals, MetricsHandle, MetricsRegistry,
-    NoopTracer, PhaseNanos, ProfileScope, ShardBuf, Stamped, TraceHandle, Tracer,
+    PhaseNanos, ProfileScope, ShardBuf, Stamped, TraceHandle, Tracer,
 };
 use parking_lot::Mutex;
 
-use crate::churn::{ChurnBatch, ChurnSchedule};
-use crate::engine::{EngineConfig, RoundView, RunOutcome};
+use crate::churn::ChurnBatch;
+use crate::engine::{EngineConfig, RunOutcome};
 use crate::error::SimError;
 use crate::pool::{self, EpochBarrier};
 use crate::protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Target};
@@ -69,130 +75,6 @@ use crate::rng::node_rng;
 use crate::stats::{note_round_metrics, RoundStats, RunStats};
 use crate::stepper::deliver_fate;
 use crate::topology::Topology;
-
-/// Run `factory`-created protocols on `topo` using `threads` workers.
-///
-/// `factory` is invoked from worker threads (hence `Sync`); each node's
-/// instance is created by the worker that owns its shard.
-///
-/// With `threads == 1` this is still the sharded code path (useful for
-/// testing); for the plain single-threaded engine use
-/// [`crate::engine::run_sequential`].
-pub fn run_parallel<P, F>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    threads: usize,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: Fn(NodeSeed<'_>) -> P + Sync,
-{
-    run_parallel_churn(topo, cfg, threads, &ChurnSchedule::empty(), factory)
-}
-
-/// [`run_parallel`] feeding telemetry events to `tracer`.
-///
-/// Workers buffer events per shard, stamped with the engine round and
-/// node id; at each round boundary the buffers are merged into the
-/// canonical deterministic order ([`dima_telemetry::merge_shards`]) and
-/// replayed into `tracer` — so an identically-seeded sequential run
-/// produces the *same event sequence*, which `tests/trace_plane.rs`
-/// asserts. The tracer needs `Sync` because workers consult its
-/// sampling predicate.
-pub fn run_parallel_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    threads: usize,
-    factory: F,
-    tracer: &mut T,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: Fn(NodeSeed<'_>) -> P + Sync,
-    T: Tracer + Sync,
-{
-    run_parallel_churn_traced(topo, cfg, threads, &ChurnSchedule::empty(), factory, tracer)
-}
-
-/// [`run_parallel`] under a topology-churn schedule, bit-identical to
-/// [`crate::engine::run_sequential_churn`].
-pub fn run_parallel_churn<P, F>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    threads: usize,
-    schedule: &ChurnSchedule,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: Fn(NodeSeed<'_>) -> P + Sync,
-{
-    run_parallel_churn_traced(topo, cfg, threads, schedule, factory, &mut NoopTracer)
-}
-
-/// [`run_parallel_traced`] under a topology-churn schedule.
-///
-/// This is the same run-to-quiescence loop as
-/// [`crate::engine::run_sequential_churn_observed_traced`], over a
-/// [`ParStepper`] instead of a [`crate::Stepper`]: batches fire at the
-/// top of their round, quiescent stretches between batches fast-forward,
-/// and the run ends when every node is done *and* the schedule is
-/// exhausted.
-pub fn run_parallel_churn_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    threads: usize,
-    schedule: &ChurnSchedule,
-    factory: F,
-    tracer: &mut T,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: Fn(NodeSeed<'_>) -> P + Sync,
-    T: Tracer + Sync,
-{
-    if topo.num_nodes() == 0 {
-        return Ok(RunOutcome {
-            nodes: Vec::new(),
-            stats: RunStats {
-                per_round: cfg.collect_round_stats.then(Vec::new),
-                metrics: cfg.metrics.then(|| Box::new(MetricsRegistry::new())),
-                ..Default::default()
-            },
-            crashed: Vec::new(),
-        });
-    }
-    let mut stepper = ParStepper::new(topo, cfg, threads, factory);
-    let mut next_batch = 0usize;
-    while stepper.executed() < cfg.max_rounds {
-        let batch = schedule.batches().get(next_batch).filter(|b| b.round == stepper.round());
-        if batch.is_some() {
-            next_batch += 1;
-        }
-        let rs = stepper.tick(batch, tracer)?;
-        if stepper.is_quiescent() {
-            if next_batch == schedule.len() {
-                return Ok(
-                    stepper.into_outcome(schedule.len() as u64, schedule.total_events() as u64)
-                );
-            }
-            // Idle-round fast-forward, mirroring the sequential engine:
-            // fully quiescent with nothing in flight, every node parked
-            // waiting for a future batch — jump straight to the batch
-            // round.
-            if rs.active == 0 {
-                if let Some(b) = schedule.batches().get(next_batch) {
-                    stepper.skip_to_round(b.round);
-                }
-            }
-        }
-    }
-    Err(SimError::MaxRoundsExceeded {
-        max_rounds: cfg.max_rounds,
-        still_active: stepper.still_active(),
-    })
-}
 
 /// Contiguous shard bounds balanced by CSR weight (degree plus a fixed
 /// per-node cost), so a skewed-degree graph does not leave most shards
@@ -444,10 +326,10 @@ struct TickCtx<'a, P: Protocol, F, T> {
     threads: usize,
 }
 
-/// The parallel engine's per-round state machine — [`crate::Stepper`]'s
-/// API over pooled shard workers. See the module docs for the phase
-/// structure and the bit-identity argument.
-pub struct ParStepper<P: Protocol, F> {
+/// The parallel engine's per-round state machine — the sequential
+/// stepper's methods over pooled shard workers. See the module docs for
+/// the phase structure and the bit-identity argument.
+pub(crate) struct ParStepper<P: Protocol, F> {
     cfg: EngineConfig,
     factory: F,
     topo: Topology,
@@ -486,7 +368,7 @@ where
     /// Create the per-node protocol instances on `topo` and stand ready
     /// at round 0, sharded for `threads` participants (clamped to
     /// `[1, n]`). The factory is called once per node in node order, and
-    /// kept for churn joins and [`ParStepper::restart`].
+    /// kept for churn joins and restarts.
     pub fn new(topo: &Topology, cfg: &EngineConfig, threads: usize, factory: F) -> Self {
         let n = topo.num_nodes();
         let threads = threads.max(1).min(n.max(1));
@@ -549,12 +431,7 @@ where
         self.protocols.len()
     }
 
-    /// The participant count after clamping.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The round the next [`ParStepper::tick`] will execute.
+    /// The round the next tick will execute.
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -574,25 +451,15 @@ where
         self.num_nodes() - self.done_count - self.crashed_count
     }
 
-    /// Final protocol state per node, by node id.
+    /// Current protocol state per node, by node id.
     pub fn nodes(&self) -> &[P] {
         &self.protocols
     }
 
     /// Mutable access to the protocol instances (see
-    /// [`crate::Stepper::nodes_mut`]).
+    /// [`crate::EngineStepper::nodes_mut`]).
     pub fn nodes_mut(&mut self) -> &mut [P] {
         &mut self.protocols
-    }
-
-    /// Which nodes have crash-stopped.
-    pub fn crashed(&self) -> &[bool] {
-        &self.crashed
-    }
-
-    /// Which nodes are done as of the last round boundary.
-    pub fn done(&self) -> &[bool] {
-        &self.done
     }
 
     /// The topology currently in force (swapped by churn batches).
@@ -600,24 +467,8 @@ where
         &self.topo
     }
 
-    /// Aggregate statistics so far.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// The observer view for the round whose stats are `rs`.
-    pub fn view(&self, rs: RoundStats) -> RoundView<'_, P> {
-        RoundView {
-            round: rs.round,
-            nodes: &self.protocols,
-            done: &self.done,
-            crashed: &self.crashed,
-            stats: rs,
-        }
-    }
-
     /// Jump the round clock forward to `target` without executing the
-    /// intervening rounds (see [`crate::Stepper::skip_to_round`]).
+    /// intervening rounds (see [`crate::EngineStepper::skip_to_round`]).
     pub fn skip_to_round(&mut self, target: u64) {
         debug_assert!(self.is_quiescent(), "cannot skip rounds with active nodes");
         if target > self.round {
@@ -667,9 +518,9 @@ where
         RunOutcome { nodes: self.protocols, stats: self.stats, crashed: self.crashed }
     }
 
-    /// Throw away every surviving node's protocol state and start over
-    /// on the current topology (see [`crate::Stepper::restart`] — same
-    /// determinism contract; the factory runs on the caller's thread).
+    /// Restart every surviving node from a fresh factory instance (see
+    /// [`crate::EngineStepper::restart`]; the factory runs on the
+    /// caller's thread).
     pub fn restart(&mut self) {
         for i in 0..self.num_nodes() {
             if self.crashed[i] {
@@ -698,8 +549,7 @@ where
     }
 
     /// Park every surviving node as done without stepping it (see
-    /// [`crate::Stepper::park_all`] — the rebase bootstrap after history
-    /// compaction; semantics are identical across engines).
+    /// [`crate::EngineStepper::park_all`]).
     pub fn park_all(&mut self) {
         for i in 0..self.num_nodes() {
             if !self.crashed[i] && !self.done[i] {
@@ -725,7 +575,7 @@ where
     /// first if given, step every active node, deposit + collect, merge
     /// done/wake flags at the boundary, and advance the round clock.
     /// Semantics (and the resulting statistics, states and telemetry
-    /// events) are bit-identical to [`crate::Stepper::tick`].
+    /// events) are bit-identical to the sequential stepper's tick.
     ///
     /// If a protocol panics on any shard, the round barrier is poisoned
     /// so every participant drains out, and the panic is re-raised here;
@@ -1205,9 +1055,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_sequential;
+    use crate::engine::{run, EngineStepper};
     use dima_graph::gen::structured;
     use dima_graph::Graph;
+    use dima_telemetry::NoopTracer;
 
     /// Flood protocol (same as the sequential engine's tests).
     #[derive(Debug)]
@@ -1244,9 +1095,9 @@ mod tests {
         let g = structured::grid(6, 7);
         let topo = Topology::from_graph(&g);
         let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(11) };
-        let seq = run_sequential(&topo, &cfg, flood_factory).unwrap();
+        let seq = run(&topo, &cfg, flood_factory).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = run_parallel(&topo, &cfg, threads, flood_factory).unwrap();
+            let par = run(&topo, &cfg.pooled(threads), flood_factory).unwrap();
             assert_eq!(par.stats, seq.stats, "threads = {threads}");
             for (a, b) in par.nodes.iter().zip(&seq.nodes) {
                 assert_eq!(a.heard, b.heard);
@@ -1257,7 +1108,7 @@ mod tests {
     #[test]
     fn empty_topology() {
         let topo = Topology::from_graph(&Graph::empty(0));
-        let out = run_parallel(&topo, &EngineConfig::default(), 4, flood_factory).unwrap();
+        let out = run(&topo, &EngineConfig::default().pooled(4), flood_factory).unwrap();
         assert_eq!(out.stats.rounds, 0);
         assert!(out.nodes.is_empty());
     }
@@ -1265,7 +1116,7 @@ mod tests {
     #[test]
     fn more_threads_than_nodes() {
         let topo = Topology::from_graph(&structured::path(3));
-        let out = run_parallel(&topo, &EngineConfig::seeded(2), 64, flood_factory).unwrap();
+        let out = run(&topo, &EngineConfig::seeded(2).pooled(64), flood_factory).unwrap();
         assert_eq!(out.nodes.len(), 3);
         assert_eq!(out.stats.rounds, 2);
     }
@@ -1283,7 +1134,7 @@ mod tests {
     fn round_budget_enforced() {
         let topo = Topology::from_graph(&structured::path(4));
         let cfg = EngineConfig { max_rounds: 5, ..Default::default() };
-        let err = run_parallel(&topo, &cfg, 2, |_| Forever).unwrap_err();
+        let err = run(&topo, &cfg.pooled(2), |_| Forever).unwrap_err();
         assert_eq!(err, SimError::MaxRoundsExceeded { max_rounds: 5, still_active: 4 });
     }
 
@@ -1302,7 +1153,7 @@ mod tests {
     #[test]
     fn unicast_validation_propagates() {
         let topo = Topology::from_graph(&structured::path(3));
-        let err = run_parallel(&topo, &EngineConfig::default(), 2, |_| BadSender).unwrap_err();
+        let err = run(&topo, &EngineConfig::default().pooled(2), |_| BadSender).unwrap_err();
         assert_eq!(err, SimError::NotANeighbor { from: VertexId(0), to: VertexId(2) });
     }
 
@@ -1316,8 +1167,8 @@ mod tests {
             collect_round_stats: true,
             ..EngineConfig::seeded(21)
         };
-        let seq = run_sequential(&topo, &cfg, flood_factory);
-        let par = run_parallel(&topo, &cfg, 3, flood_factory);
+        let seq = run(&topo, &cfg, flood_factory);
+        let par = run(&topo, &cfg.pooled(3), flood_factory);
         match (seq, par) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.stats, b.stats);
@@ -1340,8 +1191,8 @@ mod tests {
             collect_round_stats: true,
             ..EngineConfig::seeded(33)
         };
-        let seq = run_sequential(&topo, &cfg, flood_factory);
-        let par = run_parallel(&topo, &cfg, 4, flood_factory);
+        let seq = run(&topo, &cfg, flood_factory);
+        let par = run(&topo, &cfg.pooled(4), flood_factory);
         match (seq, par) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.stats, b.stats);
@@ -1375,20 +1226,22 @@ mod tests {
 
     #[test]
     fn stepper_ticks_match_batch_run() {
-        // Driving the ParStepper tick by tick is the same computation as
-        // the batch entry point (and therefore the sequential engine).
+        // Driving the handle tick by tick is the same computation as the
+        // batch entry point, on either engine.
         let g = structured::grid(4, 5);
         let topo = Topology::from_graph(&g);
         let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(5) };
-        let batch = run_parallel(&topo, &cfg, 3, flood_factory).unwrap();
-        let mut stepper = ParStepper::new(&topo, &cfg, 3, flood_factory);
-        while !stepper.is_quiescent() {
-            stepper.tick(None, &mut NoopTracer).unwrap();
-        }
-        let stepped = stepper.into_outcome(0, 0);
-        assert_eq!(stepped.stats, batch.stats);
-        for (a, b) in stepped.nodes.iter().zip(&batch.nodes) {
-            assert_eq!(a.heard, b.heard);
+        let batch = run(&topo, &cfg, flood_factory).unwrap();
+        for cfg in [cfg.clone(), cfg.pooled(3)] {
+            let mut stepper = EngineStepper::new(&topo, &cfg, flood_factory);
+            while !stepper.is_quiescent() {
+                stepper.tick(None, &mut NoopTracer).unwrap();
+            }
+            let stepped = stepper.into_outcome(0, 0);
+            assert_eq!(stepped.stats, batch.stats, "{:?}", cfg.engine);
+            for (a, b) in stepped.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(a.heard, b.heard);
+            }
         }
     }
 
@@ -1407,7 +1260,7 @@ mod tests {
         }
         let topo = Topology::from_graph(&structured::path(8));
         let err = std::panic::catch_unwind(|| {
-            let _ = run_parallel(&topo, &EngineConfig::seeded(1), 4, |_| Bomb);
+            let _ = run(&topo, &EngineConfig::seeded(1).pooled(4), |_| Bomb);
         });
         assert!(err.is_err(), "the protocol panic must reach the caller");
     }

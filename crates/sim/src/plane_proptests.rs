@@ -21,11 +21,11 @@ use rand::SeedableRng;
 
 use dima_graph::gen;
 use dima_graph::VertexId;
+use dima_telemetry::NoopTracer;
 
 use crate::churn::{ChurnPlan, ChurnSchedule};
-use crate::engine::{run_sequential, run_sequential_churn, EngineConfig};
+use crate::engine::{run, run_with, EngineConfig};
 use crate::fault::{FaultPlan, GilbertElliott};
-use crate::par::{run_parallel, run_parallel_churn};
 use crate::protocol::{NodeSeed, NodeStatus, Protocol, RoundCtx};
 use crate::rng::splitmix64;
 use crate::topology::Topology;
@@ -234,7 +234,7 @@ proptest! {
     ) {
         let cfg = engine_config(seed, faults);
         let expected = reference_logs(&topo, &cfg, HORIZON);
-        let out = run_sequential(&topo, &cfg, spy_factory(HORIZON)).expect("run terminates");
+        let out = run(&topo, &cfg, spy_factory(HORIZON)).expect("run terminates");
         let got: Vec<&InboxLog> = out.nodes.iter().map(|n| &n.log).collect();
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             prop_assert_eq!(*g, e, "node {} inbox stream diverged", i);
@@ -251,7 +251,7 @@ proptest! {
     ) {
         let cfg = engine_config(seed, faults);
         let expected = reference_logs(&topo, &cfg, HORIZON);
-        let out = run_parallel(&topo, &cfg, threads, spy_factory(HORIZON)).expect("run terminates");
+        let out = run(&topo, &cfg.pooled(threads), spy_factory(HORIZON)).expect("run terminates");
         let got: Vec<&InboxLog> = out.nodes.iter().map(|n| &n.log).collect();
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             prop_assert_eq!(*g, e, "node {} inbox stream diverged ({} threads)", i, threads);
@@ -283,10 +283,11 @@ proptest! {
             max_rounds: last_batch + HORIZON + 16,
             ..EngineConfig::seeded(seed)
         };
-        let seq = run_sequential_churn(&topo, &cfg, &schedule, spy_factory(HORIZON))
+        let seq = run_with(&topo, &cfg, &schedule, spy_factory(HORIZON), &mut NoopTracer)
             .expect("sequential churn run terminates");
-        let par = run_parallel_churn(&topo, &cfg, threads, &schedule, spy_factory(HORIZON))
-            .expect("parallel churn run terminates");
+        let par =
+            run_with(&topo, &cfg.pooled(threads), &schedule, spy_factory(HORIZON), &mut NoopTracer)
+                .expect("parallel churn run terminates");
         for (i, (s, p)) in seq.nodes.iter().zip(&par.nodes).enumerate() {
             prop_assert_eq!(&s.log, &p.log, "node {} inbox stream diverged", i);
         }

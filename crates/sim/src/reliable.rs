@@ -730,9 +730,8 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::engine::{run_sequential, EngineConfig};
+    use crate::engine::{run, EngineConfig};
     use crate::fault::FaultPlan;
-    use crate::par::run_parallel;
     use crate::topology::Topology;
     use dima_graph::gen::structured;
 
@@ -782,8 +781,8 @@ mod tests {
     fn fault_free_run_is_transparent() {
         let topo = Topology::from_graph(&structured::cycle(8));
         let cfg = EngineConfig::seeded(5);
-        let bare = run_sequential(&topo, &cfg, flood_factory).unwrap();
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let bare = run(&topo, &cfg, flood_factory).unwrap();
+        let arq = run(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
         for (b, w) in bare.nodes.iter().zip(&arq.nodes) {
             assert_eq!(b.heard, w.inner().heard);
             // Inner rounds ran in lockstep with the bare engine.
@@ -799,13 +798,13 @@ mod tests {
     fn survives_uniform_loss() {
         let topo = Topology::from_graph(&structured::complete(8));
         let reliable_cfg = EngineConfig::seeded(11);
-        let bare = run_sequential(&topo, &reliable_cfg, flood_factory).unwrap();
+        let bare = run(&topo, &reliable_cfg, flood_factory).unwrap();
         let cfg = EngineConfig {
             faults: FaultPlan::uniform(0.25),
             max_rounds: 500,
             ..EngineConfig::seeded(11)
         };
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let arq = run(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
         assert!(arq.stats.dropped > 0, "the plan should actually drop messages");
         for (b, w) in bare.nodes.iter().zip(&arq.nodes) {
             let mut got = w.inner().heard.clone();
@@ -824,7 +823,7 @@ mod tests {
             max_rounds: 800,
             ..EngineConfig::seeded(17)
         };
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let arq = run(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
         // Sequencing dedups the duplicates: every node heard each
         // neighbor exactly once.
         for (i, w) in arq.nodes.iter().enumerate() {
@@ -846,7 +845,7 @@ mod tests {
             max_rounds: 2_000,
             ..EngineConfig::seeded(23)
         };
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let arq = run(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
         assert!(arq.stats.crashed > 0, "the plan should actually crash someone");
         for (i, w) in arq.nodes.iter().enumerate() {
             if arq.crashed[i] {
@@ -901,8 +900,7 @@ mod tests {
             ..EngineConfig::seeded(41)
         };
         let factory = |_seed: NodeSeed<'_>| Chatter { rounds_left: 12, heard: 0 };
-        let run = run_sequential(&topo, &cfg, ReliableNode::factory(ArqConfig::default(), factory))
-            .unwrap();
+        let run = run(&topo, &cfg, ReliableNode::factory(ArqConfig::default(), factory)).unwrap();
         assert!(run.stats.crashed > 0, "the plan should actually crash someone");
         for (i, w) in run.nodes.iter().enumerate() {
             if !run.crashed[i] {
@@ -932,7 +930,7 @@ mod tests {
         let cfg = EngineConfig { metrics: true, ..EngineConfig::seeded(3) };
         let run = |retransmit_after: u64| {
             let arq = ArqConfig { retransmit_after, ..ArqConfig::default() };
-            let out = run_sequential(&topo, &cfg, wrapped_factory(arq)).unwrap();
+            let out = run(&topo, &cfg, wrapped_factory(arq)).unwrap();
             let reg = out.stats.metrics.expect("metrics were on");
             let rtt = reg.histogram("arq/ack_rounds").expect("bundles were acked").display_min();
             (reg.counter("arq/retransmits"), rtt)
@@ -959,8 +957,7 @@ mod tests {
             };
             let factory = |_seed: NodeSeed<'_>| Chatter { rounds_left: 6, heard: 0 };
             let run =
-                run_sequential(&topo, &cfg, ReliableNode::factory(ArqConfig::default(), factory))
-                    .unwrap();
+                run(&topo, &cfg, ReliableNode::factory(ArqConfig::default(), factory)).unwrap();
             for w in &run.nodes {
                 assert!(w.dead_links().is_empty(), "seed {seed}: false link death");
                 assert_eq!(w.inner().heard, 6 * 9, "seed {seed}");
@@ -1068,9 +1065,9 @@ mod tests {
                     heard: 0,
                 })
             };
-            let fast = run_sequential(&topo, &cfg, factory()).unwrap();
+            let fast = run(&topo, &cfg, factory()).unwrap();
             FULL_PASSES_ONLY.with(|f| f.set(true));
-            let full = run_sequential(&topo, &cfg, factory());
+            let full = run(&topo, &cfg, factory());
             FULL_PASSES_ONLY.with(|f| f.set(false));
             let full = full.unwrap();
             assert_eq!(fast.stats, full.stats, "plan {i}");
@@ -1091,10 +1088,10 @@ mod tests {
             collect_round_stats: true,
             ..EngineConfig::seeded(31)
         };
-        let seq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let seq = run(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
         for threads in [2, 4] {
             let par =
-                run_parallel(&topo, &cfg, threads, wrapped_factory(ArqConfig::default())).unwrap();
+                run(&topo, &cfg.pooled(threads), wrapped_factory(ArqConfig::default())).unwrap();
             assert_eq!(par.stats, seq.stats, "threads {threads}");
             for (a, b) in par.nodes.iter().zip(&seq.nodes) {
                 assert_eq!(a.inner().heard, b.inner().heard);

@@ -1,20 +1,15 @@
-//! Step-wise driver for the sequential engine: one communication round
-//! per [`Stepper::tick`] call.
+//! The sequential engine: one communication round per `Stepper::tick`,
+//! nodes stepped in id order on the caller's thread.
 //!
-//! [`crate::engine::run_sequential_churn_observed_traced`] — and with it
-//! every `run_sequential*` wrapper — is a thin run-to-quiescence loop
-//! over this type, so a `Stepper` driven tick-by-tick is *bit-identical*
-//! to a batch run over the same inputs: same per-node RNG streams, same
-//! delivery order, same churn-batch semantics. That split is what lets a
-//! long-lived service (`dima serve`) interleave repair rounds with event
-//! ingest and snapshot queries while keeping the determinism guarantees
-//! the batch entry points are tested for.
+//! This is the reference implementation of the round loop. Every
+//! bit-identity test compares the pooled engine ([`crate::par`]) against
+//! it. Hosts reach it through [`crate::EngineStepper`] (with
+//! [`crate::Engine::Sequential`]), which also owns the run-to-quiescence
+//! loop; this module only implements a single round.
 //!
-//! The caller owns the loop: it decides when to [`tick`](Stepper::tick),
-//! which [`ChurnBatch`] (if any) fires at the top of a round, when to
-//! [`skip_to_round`](Stepper::skip_to_round) over a quiescent stretch,
-//! and when to stop. Unlike the batch entry points there is no round
-//! budget here — budget enforcement stays with the caller.
+//! Mailboxes are double-buffered: nodes read `cur`, deliveries land in
+//! `next`, and the round boundary clears and swaps them. A unicast moves
+//! its payload; a broadcast clones it per recipient.
 
 use dima_graph::VertexId;
 use dima_telemetry::{
@@ -22,7 +17,7 @@ use dima_telemetry::{
 };
 
 use crate::churn::ChurnBatch;
-use crate::engine::{EngineConfig, RoundView, RunOutcome};
+use crate::engine::{EngineConfig, RunOutcome};
 use crate::error::SimError;
 use crate::protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Target};
 use crate::rng::node_rng;
@@ -30,7 +25,7 @@ use crate::stats::{note_round_metrics, RoundStats, RunStats};
 use crate::topology::Topology;
 
 /// The sequential engine's per-round state machine. See the module docs.
-pub struct Stepper<P: Protocol, F> {
+pub(crate) struct Stepper<P: Protocol, F> {
     cfg: EngineConfig,
     factory: F,
     topo: Topology,
@@ -66,8 +61,7 @@ where
     F: FnMut(NodeSeed<'_>) -> P,
 {
     /// Create the per-node protocol instances on `topo` and stand ready
-    /// at round 0. The factory is called once per node in node order, and
-    /// kept for churn joins and [`Stepper::restart`].
+    /// at round 0 (see [`crate::EngineStepper::new`]).
     pub fn new(topo: &Topology, cfg: &EngineConfig, mut factory: F) -> Self {
         let n = topo.num_nodes();
         let protocols: Vec<P> = (0..n)
@@ -112,7 +106,7 @@ where
         self.protocols.len()
     }
 
-    /// The round the next [`Stepper::tick`] will execute.
+    /// The round the next tick will execute.
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -123,7 +117,6 @@ where
     }
 
     /// True when every node is parked (done or crashed) — quiescence.
-    /// A churn batch or [`Stepper::restart`] re-activates nodes.
     pub fn is_quiescent(&self) -> bool {
         self.done_count + self.crashed_count == self.num_nodes()
     }
@@ -133,28 +126,15 @@ where
         self.num_nodes() - self.done_count - self.crashed_count
     }
 
-    /// Final protocol state per node, by node id.
+    /// Current protocol state per node, by node id.
     pub fn nodes(&self) -> &[P] {
         &self.protocols
     }
 
-    /// Mutable access to the protocol instances, for hosts that apply an
-    /// out-of-band pass between repairs (e.g. serve-mode palette
-    /// compaction) and write the outcome back into the parked automata.
-    /// The engine does not re-validate node state — callers must
-    /// preserve the protocol's invariants.
+    /// Mutable access to the protocol instances (see
+    /// [`crate::EngineStepper::nodes_mut`]).
     pub fn nodes_mut(&mut self) -> &mut [P] {
         &mut self.protocols
-    }
-
-    /// Which nodes have crash-stopped.
-    pub fn crashed(&self) -> &[bool] {
-        &self.crashed
-    }
-
-    /// Which nodes are done as of the last round boundary.
-    pub fn done(&self) -> &[bool] {
-        &self.done
     }
 
     /// The topology currently in force (swapped by churn batches).
@@ -162,27 +142,8 @@ where
         &self.topo
     }
 
-    /// Aggregate statistics so far.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// The observer view for the round whose stats are `rs` — state as of
-    /// the last round boundary (what the next round starts from).
-    pub fn view(&self, rs: RoundStats) -> RoundView<'_, P> {
-        RoundView {
-            round: rs.round,
-            nodes: &self.protocols,
-            done: &self.done,
-            crashed: &self.crashed,
-            stats: rs,
-        }
-    }
-
     /// Jump the round clock forward to `target` without executing the
-    /// intervening rounds — the engines' idle fast-forward. Only legal
-    /// when the stepper is quiescent with empty mailboxes (nothing can
-    /// happen in the skipped rounds); a no-op when `target` is not ahead.
+    /// intervening rounds (see [`crate::EngineStepper::skip_to_round`]).
     pub fn skip_to_round(&mut self, target: u64) {
         debug_assert!(self.is_quiescent(), "cannot skip rounds with active nodes");
         if target > self.round {
@@ -201,13 +162,8 @@ where
         RunOutcome { nodes: self.protocols, stats: self.stats, crashed: self.crashed }
     }
 
-    /// Throw away every surviving node's protocol state and start the
-    /// algorithm over on the current topology: fresh factory instances,
-    /// cleared mailboxes, all done flags reset. RNG streams continue from
-    /// where they are (node randomness stays a function of the executed
-    /// step sequence), so a restart is exactly as deterministic as the
-    /// rounds that led to it — the escalation path of `dima serve`'s
-    /// convergence watchdog relies on that.
+    /// Restart every surviving node from a fresh factory instance (see
+    /// [`crate::EngineStepper::restart`]).
     pub fn restart(&mut self) {
         for i in 0..self.num_nodes() {
             if self.crashed[i] {
@@ -227,14 +183,8 @@ where
         self.suppressed_now.clear();
     }
 
-    /// Park every surviving node as done without stepping it, leaving
-    /// protocol state exactly as constructed. This is the bootstrap for a
-    /// *rebased* service: after history compaction the nodes are built
-    /// directly in a settled configuration (adopting a previously
-    /// converged coloring), so the stepper must start quiescent instead
-    /// of running the algorithm from scratch. Mailboxes are cleared; the
-    /// round clock is untouched. Wake-class traffic (a later churn batch)
-    /// un-parks nodes exactly as it would after natural convergence.
+    /// Park every surviving node as done without stepping it (see
+    /// [`crate::EngineStepper::park_all`]).
     pub fn park_all(&mut self) {
         for i in 0..self.num_nodes() {
             if !self.crashed[i] && !self.done[i] {
@@ -248,17 +198,8 @@ where
         self.suppressed_now.clear();
     }
 
-    /// Execute one communication round: apply `batch` first if given
-    /// (its [`ChurnBatch::round`] must equal [`Stepper::round`]), step
-    /// every active node, deliver, merge done/wake flags at the boundary,
-    /// and advance the round clock. Returns the round's counters, or
-    /// [`SimError::NotANeighbor`] if a protocol unicast an illegal
-    /// destination while [`EngineConfig::validate_sends`] is on (the
-    /// stepper is not usable after an error).
-    ///
-    /// The tracer type must stay consistent across the stepper's life —
-    /// per-kind message counters are only maintained when a real tracer
-    /// is attached on the first tick.
+    /// Execute one communication round (see
+    /// [`crate::EngineStepper::tick`]).
     pub fn tick<T: Tracer>(
         &mut self,
         batch: Option<&ChurnBatch>,

@@ -1,15 +1,11 @@
-//! Dedicated tests for [`dima_sim::trace::StateCensus`]: the per-round
-//! state histogram collected through the observed engine entrypoints.
-//!
-//! The unit tests in `trace.rs` cover the histogram arithmetic in
-//! isolation; these exercise the full collection path — a real protocol
-//! run under [`run_sequential_observed`], one census row per round,
-//! including parked (done) nodes, which the observer still sees.
+//! Per-round state censuses through the telemetry plane: a real protocol
+//! run under [`run_with`] into a [`StateTimeline`], one census row per
+//! round, including parked (done) nodes, which keep their last label.
 
 use dima_graph::gen::structured::cycle;
-use dima_sim::trace::{StateCensus, StateLabel};
+use dima_sim::telemetry::StateTimeline;
 use dima_sim::{
-    run_sequential_observed, EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, Topology,
+    run_with, ChurnSchedule, EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, Topology,
 };
 
 /// A node counts down from its own id: node `i` is in state `C` for `i`
@@ -17,15 +13,14 @@ use dima_sim::{
 /// every round a distinct census row.
 struct Countdown {
     remaining: usize,
-    parked: bool,
 }
 
 impl Protocol for Countdown {
     type Msg = ();
 
-    fn on_round(&mut self, _ctx: &mut RoundCtx<'_, ()>) -> NodeStatus {
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, ()>) -> NodeStatus {
         if self.remaining == 0 {
-            self.parked = true;
+            ctx.trace_state("D", "countdown");
             return NodeStatus::Done;
         }
         self.remaining -= 1;
@@ -33,29 +28,20 @@ impl Protocol for Countdown {
     }
 }
 
-impl StateLabel for Countdown {
-    fn state_label(&self) -> &'static str {
-        if self.parked {
-            "D"
-        } else {
-            "C"
-        }
-    }
-}
-
-fn run_census(n: usize) -> StateCensus {
+fn run_census(n: usize) -> StateTimeline {
     let g = cycle(n);
     let topo = Topology::from_graph(&g);
-    let mut census = StateCensus::new();
-    let outcome = run_sequential_observed(
+    let mut timeline = StateTimeline::new(n);
+    let outcome = run_with(
         &topo,
         &EngineConfig::default(),
-        |seed: NodeSeed<'_>| Countdown { remaining: seed.node.index(), parked: false },
-        |view| census.record(view.nodes.iter().map(|p| p.state_label())),
+        &ChurnSchedule::empty(),
+        |seed: NodeSeed<'_>| Countdown { remaining: seed.node.index() },
+        &mut timeline,
     )
     .expect("countdown terminates");
-    assert_eq!(outcome.stats.rounds as usize, census.len(), "one census row per round");
-    census
+    assert_eq!(outcome.stats.rounds as usize, timeline.rounds().len(), "one census row per round");
+    timeline
 }
 
 #[test]
@@ -64,10 +50,10 @@ fn census_tracks_population_round_by_round() {
     let census = run_census(n);
     // Node i parks at the end of round i: after round r, nodes 0..=r are
     // in D and the rest still count down in C.
-    assert_eq!(census.len(), n, "node n-1 parks in round n-1");
-    for r in 0..n {
-        assert_eq!(census.count(r, "D"), r + 1, "round {r}");
-        assert_eq!(census.count(r, "C"), n - r - 1, "round {r}");
+    assert_eq!(census.rounds().len(), n, "node n-1 parks in round n-1");
+    for (r, snap) in census.rounds().iter().enumerate() {
+        assert_eq!(snap.count("D") as usize, r + 1, "round {r}");
+        assert_eq!(snap.count("C") as usize, n - r - 1, "round {r}");
     }
 }
 
@@ -75,8 +61,8 @@ fn census_tracks_population_round_by_round() {
 fn census_conserves_the_node_count() {
     let n = 9;
     let census = run_census(n);
-    for r in 0..census.len() {
-        assert_eq!(census.count(r, "C") + census.count(r, "D"), n, "round {r}");
+    for (r, snap) in census.rounds().iter().enumerate() {
+        assert_eq!(snap.count("C") + snap.count("D"), n as u32, "round {r}");
     }
 }
 
@@ -84,8 +70,8 @@ fn census_conserves_the_node_count() {
 fn done_population_is_monotone() {
     let census = run_census(8);
     let mut last = 0;
-    for r in 0..census.len() {
-        let d = census.count(r, "D");
+    for (r, snap) in census.rounds().iter().enumerate() {
+        let d = snap.count("D");
         assert!(d >= last, "D shrank at round {r}");
         last = d;
     }
@@ -93,25 +79,19 @@ fn done_population_is_monotone() {
 }
 
 #[test]
-fn render_reports_every_round() {
+fn census_reports_every_round() {
     let n = 4;
     let census = run_census(n);
-    let table = census.render();
-    let mut lines = table.lines();
-    let header = lines.next().expect("header row");
-    assert!(header.contains('C') && header.contains('D'), "{header}");
-    let rows: Vec<&str> = lines.collect();
-    assert_eq!(rows.len(), census.len(), "one table row per round");
-    // Final round: all n nodes in the D column (rightmost).
-    let last = rows.last().unwrap();
-    assert!(last.trim_end().ends_with(&n.to_string()), "{last}");
+    let rounds: Vec<u64> = census.rounds().iter().map(|s| s.round).collect();
+    assert_eq!(rounds, (0..n as u64).collect::<Vec<_>>(), "one snapshot per round, in order");
+    // Final round: all n nodes in D, and only there.
+    let last: Vec<_> = census.rounds().last().unwrap().states().collect();
+    assert_eq!(last, vec![("D", n as u32)]);
 }
 
 #[test]
 fn empty_census_is_empty() {
-    let census = StateCensus::new();
-    assert!(census.is_empty());
-    assert_eq!(census.len(), 0);
-    assert_eq!(census.count(0, "C"), 0);
-    assert_eq!(census.render(), "round\n");
+    let census = run_census(0);
+    assert!(census.rounds().is_empty());
+    assert_eq!(StateTimeline::new(0).rounds().len(), 0);
 }

@@ -5,8 +5,7 @@
 use dima_graph::gen::structured;
 use dima_sim::telemetry::{BufferTracer, Event, PaletteAction, Tracer};
 use dima_sim::{
-    run_parallel_churn_traced, run_parallel_traced, run_sequential_churn_traced,
-    run_sequential_traced, ArqConfig, ChurnPlan, ChurnSchedule, EngineConfig, NodeSeed, NodeStatus,
+    run_with, ArqConfig, ChurnPlan, ChurnSchedule, Engine, EngineConfig, NodeSeed, NodeStatus,
     Protocol, ReliableNode, RoundCtx, Topology,
 };
 
@@ -80,19 +79,25 @@ impl Tracer for EvenSampler {
     }
 }
 
+/// `cfg` on the pooled engine with `threads` participants.
+fn pooled(cfg: &EngineConfig, threads: usize) -> EngineConfig {
+    EngineConfig { engine: Engine::Parallel { threads }, ..cfg.clone() }
+}
+
 #[test]
 fn parallel_trace_matches_sequential() {
     let topo = Topology::from_graph(&structured::grid(5, 4));
     let cfg = EngineConfig::seeded(42);
     let mut seq = BufferTracer::default();
-    run_sequential_traced(&topo, &cfg, chatty_factory, &mut seq).unwrap();
+    run_with(&topo, &cfg, &ChurnSchedule::empty(), chatty_factory, &mut seq).unwrap();
     assert!(seq.events.iter().any(|e| matches!(e, Event::State { .. })));
     assert!(seq.events.iter().any(|e| matches!(e, Event::Palette { .. })));
     assert!(seq.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "even", .. })));
     assert!(seq.events.iter().any(|e| matches!(e, Event::Round { .. })));
     for threads in [1, 2, 3, 7] {
         let mut par = BufferTracer::default();
-        run_parallel_traced(&topo, &cfg, threads, chatty_factory, &mut par).unwrap();
+        run_with(&topo, &pooled(&cfg, threads), &ChurnSchedule::empty(), chatty_factory, &mut par)
+            .unwrap();
         assert_eq!(seq.events, par.events, "threads = {threads}");
     }
 }
@@ -109,13 +114,14 @@ fn faulty_trace_matches_sequential() {
         ..EngineConfig::seeded(7)
     };
     let mut seq = BufferTracer::default();
-    run_sequential_traced(&topo, &cfg, chatty_factory, &mut seq).unwrap();
+    run_with(&topo, &cfg, &ChurnSchedule::empty(), chatty_factory, &mut seq).unwrap();
     let has_dropped =
         seq.events.iter().any(|e| matches!(e, Event::MsgKind { dropped, .. } if *dropped > 0));
     assert!(has_dropped, "fault plan should actually drop something");
     for threads in [2, 5] {
         let mut par = BufferTracer::default();
-        run_parallel_traced(&topo, &cfg, threads, chatty_factory, &mut par).unwrap();
+        run_with(&topo, &pooled(&cfg, threads), &ChurnSchedule::empty(), chatty_factory, &mut par)
+            .unwrap();
         assert_eq!(seq.events, par.events, "threads = {threads}");
     }
 }
@@ -128,12 +134,11 @@ fn churn_trace_matches_sequential() {
     let last_batch = schedule.batches().last().map_or(0, |b| b.round);
     let cfg = EngineConfig { max_rounds: last_batch + 64, ..EngineConfig::seeded(5) };
     let mut seq = BufferTracer::default();
-    run_sequential_churn_traced(&topo, &cfg, &schedule, chatty_factory, &mut seq).unwrap();
+    run_with(&topo, &cfg, &schedule, chatty_factory, &mut seq).unwrap();
     assert!(seq.events.iter().any(|e| matches!(e, Event::Churn { .. })));
     for threads in [2, 4] {
         let mut par = BufferTracer::default();
-        run_parallel_churn_traced(&topo, &cfg, threads, &schedule, chatty_factory, &mut par)
-            .unwrap();
+        run_with(&topo, &pooled(&cfg, threads), &schedule, chatty_factory, &mut par).unwrap();
         assert_eq!(seq.events, par.events, "threads = {threads}");
     }
 }
@@ -143,11 +148,11 @@ fn sampled_trace_matches_sequential() {
     let topo = Topology::from_graph(&structured::grid(5, 5));
     let cfg = EngineConfig::seeded(13);
     let mut seq = EvenSampler::default();
-    run_sequential_traced(&topo, &cfg, chatty_factory, &mut seq).unwrap();
+    run_with(&topo, &cfg, &ChurnSchedule::empty(), chatty_factory, &mut seq).unwrap();
     assert!(seq.events.iter().all(|e| e.class() != 1 || e.node() % 2 == 0));
     assert!(seq.events.iter().any(|e| e.class() == 1));
     let mut par = EvenSampler::default();
-    run_parallel_traced(&topo, &cfg, 3, chatty_factory, &mut par).unwrap();
+    run_with(&topo, &pooled(&cfg, 3), &ChurnSchedule::empty(), chatty_factory, &mut par).unwrap();
     assert_eq!(seq.events, par.events);
 }
 
@@ -163,7 +168,7 @@ fn arq_trace_matches_sequential_and_stamps_inner_rounds() {
     };
     let factory = || ReliableNode::factory(ArqConfig::default(), chatty_factory);
     let mut seq = BufferTracer::default();
-    run_sequential_traced(&topo, &cfg, factory(), &mut seq).unwrap();
+    run_with(&topo, &cfg, &ChurnSchedule::empty(), factory(), &mut seq).unwrap();
     assert!(
         seq.events.iter().any(|e| matches!(e, Event::Arq { .. })),
         "loss this heavy should force at least one retransmission"
@@ -172,7 +177,8 @@ fn arq_trace_matches_sequential_and_stamps_inner_rounds() {
     assert!(seq.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "arq-ack", .. })));
     for threads in [2, 3] {
         let mut par = BufferTracer::default();
-        run_parallel_traced(&topo, &cfg, threads, factory(), &mut par).unwrap();
+        run_with(&topo, &pooled(&cfg, threads), &ChurnSchedule::empty(), factory(), &mut par)
+            .unwrap();
         assert_eq!(seq.events, par.events, "threads = {threads}");
     }
 }
@@ -184,9 +190,9 @@ fn tracing_does_not_change_run_results() {
     // proptest lives in dima-core).
     let topo = Topology::from_graph(&structured::grid(5, 4));
     let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(3) };
-    let plain = dima_sim::run_sequential(&topo, &cfg, chatty_factory).unwrap();
+    let plain = dima_sim::run(&topo, &cfg, chatty_factory).unwrap();
     let mut buf = BufferTracer::default();
-    let traced = run_sequential_traced(&topo, &cfg, chatty_factory, &mut buf).unwrap();
+    let traced = run_with(&topo, &cfg, &ChurnSchedule::empty(), chatty_factory, &mut buf).unwrap();
     assert_eq!(plain.stats, traced.stats);
     let round_footers = buf.events.iter().filter(|e| matches!(e, Event::Round { .. })).count();
     assert_eq!(round_footers as u64, traced.stats.rounds);

@@ -24,8 +24,7 @@ pub struct RoundSnapshot {
     /// Engine round.
     pub round: u64,
     /// Nodes per automata state, indexed like [`STATES`]. Counts cover
-    /// *all* nodes (done/parked nodes keep their last label), matching
-    /// the observer-based censuses this type replaces.
+    /// *all* nodes (done/parked nodes keep their last label).
     pub census: [u32; 9],
     /// Cumulative matched pairs (palette commits counted once per edge,
     /// at the smaller-id endpoint).

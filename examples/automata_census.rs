@@ -6,8 +6,9 @@
 //! cargo run --release --example automata_census
 //! ```
 
-use dima::core::{color_edges_with_census, ColoringConfig};
+use dima::core::{color_edges_traced, ColoringConfig};
 use dima::graph::gen::erdos_renyi_avg_degree;
+use dima::sim::telemetry::{StateTimeline, STATES};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,12 +21,28 @@ fn main() {
         g.num_edges(),
         g.max_degree()
     );
-    let (result, census) =
-        color_edges_with_census(&g, &ColoringConfig::seeded(7)).expect("run failed");
+    let mut census = StateTimeline::new(g.num_vertices());
+    let result =
+        color_edges_traced(&g, &ColoringConfig::seeded(7), &mut census).expect("run failed");
     dima::core::verify::verify_edge_coloring(&g, &result.colors).expect("proper coloring");
 
     println!("automata state census (communication rounds; 3 per computation round):");
-    println!("{}", census.render());
+    // One column per state that occurs anywhere in the run.
+    let states: Vec<usize> = (0..STATES.len())
+        .filter(|&s| census.rounds().iter().any(|snap| snap.census[s] > 0))
+        .collect();
+    print!("round");
+    for &s in &states {
+        print!(" {:>4}", STATES[s]);
+    }
+    println!();
+    for snap in census.rounds() {
+        print!("{:>5}", snap.round);
+        for &s in &states {
+            print!(" {:>4}", snap.census[s]);
+        }
+        println!();
+    }
     println!(
         "columns: I invitors / L listeners (invite step), W waiting / R responding\n\
          (respond step), E exchanging, D done. Watch D grow by roughly a constant\n\

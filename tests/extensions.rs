@@ -128,27 +128,26 @@ fn worst_case_bound_never_reached_experimentally() {
 #[test]
 fn state_labels_work_for_all_automata_protocols() {
     // The matching and strong-coloring protocols also report their Fig-1
-    // states; drive them through the observer hook directly.
+    // states; fold them into per-round censuses through the trace plane.
+    use dima::core::{maximal_matching_traced, strong_color_digraph_traced};
     use dima::graph::gen::structured;
-    use dima::sim::trace::{StateCensus, StateLabel};
-    use dima::sim::{run_sequential_observed, EngineConfig, Topology};
+    use dima::sim::telemetry::StateTimeline;
 
     let g = structured::cycle(8);
-    let topo = Topology::from_graph(&g);
-    let cfg_core = ColoringConfig::seeded(3);
-    let engine_cfg = EngineConfig::seeded(3);
+    let cfg = ColoringConfig::seeded(3);
 
     // Matching protocol census.
-    let mut census = StateCensus::new();
-    let outcome = run_sequential_observed(
-        &topo,
-        &engine_cfg,
-        |seed| dima::core::matching::new_node_for_census(&seed, &cfg_core),
-        |view| census.record(view.nodes.iter().map(|n| n.state_label())),
-    )
-    .unwrap();
-    assert!(outcome.stats.rounds > 0);
-    assert_eq!(census.count(0, "I") + census.count(0, "L"), 8);
-    let last = census.len() - 1;
-    assert!(census.count(last, "D") > 0);
+    let mut census = StateTimeline::new(8);
+    let r = maximal_matching_traced(&g, &cfg, &mut census).unwrap();
+    assert!(r.stats.rounds > 0);
+    let rounds = census.rounds();
+    assert_eq!(rounds.len() as u64, r.stats.rounds, "one census row per round");
+    assert_eq!(rounds[0].count("I") + rounds[0].count("L"), 8);
+    assert!(rounds.last().unwrap().count("D") > 0);
+
+    // Strong-coloring protocol census.
+    let mut census = StateTimeline::new(8);
+    let d = Digraph::symmetric_closure(&g);
+    strong_color_digraph_traced(&d, &cfg, &mut census).unwrap();
+    assert!(census.rounds().last().unwrap().count("D") > 0);
 }

@@ -8,10 +8,13 @@
 //! recorded history through the ordinary batch engines) must agree
 //! with the live automata on both the sequential and parallel engine.
 
+use std::collections::HashSet;
+
 use dima::core::{
-    checkpoint_crc, ColoringService, Engine, HistoryEntry, ServeProtocol, ServiceConfig,
+    checkpoint_crc, ColorReduction, ColoringService, Engine, HistoryEntry, KempeConfig,
+    ServeProtocol, ServiceConfig,
 };
-use dima::graph::gen::erdos_renyi_gnm;
+use dima::graph::gen::{erdos_renyi_gnm, erdos_renyi_gnp};
 use dima::graph::{Graph, VertexId};
 use dima::sim::ChurnEvent;
 use rand::rngs::SmallRng;
@@ -313,6 +316,76 @@ fn ec_chain_restore_with_compaction_is_bit_identical_across_fifty_seeds() {
 #[test]
 fn strong_chain_restore_with_compaction_is_bit_identical_across_fifty_seeds() {
     chain_sweep(ServeProtocol::StrongColoring);
+}
+
+/// Serve-mode Kempe compaction after nodes depart: a departed node has
+/// no ports in the live topology, but its parked automaton still holds
+/// its old neighbors, so the compaction write-back must leave it alone.
+/// After every single-leave batch the live coloring must be proper and
+/// a restore from the anchor snapshot plus the journal must reproduce
+/// it.
+#[test]
+fn kempe_compaction_survives_successive_node_leaves() {
+    for seed in 0..60u64 {
+        let g0 = erdos_renyi_gnp(40, 0.25, &mut SmallRng::seed_from_u64(seed)).expect("valid p");
+        let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, seed);
+        cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+        let mut svc = ColoringService::new(&g0, cfg).expect("service construction");
+        svc.run_to_quiescence(svc.tick_budget()).expect("initial coloring");
+        let base = svc.snapshot_text();
+        let mut journal = String::new();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1ea7e);
+        let mut gone = HashSet::new();
+        for batch in 0..5 {
+            let leaver = loop {
+                let v = rng.random_range(0..40u32);
+                if gone.insert(v) {
+                    break VertexId(v);
+                }
+            };
+            let ev = ChurnEvent::NodeLeave(leaver);
+            svc.stage(ev).expect("leave of a live node is valid");
+            journal.push_str(&ColoringService::journal_event_line(&ev));
+            let (seq, round) = svc.next_commit().expect("committable");
+            journal.push_str(&ColoringService::journal_commit_line(
+                svc.epoch(),
+                svc.history_len() + 1,
+                seq,
+                round,
+            ));
+            commit_and_settle(&mut svc);
+            assert!(
+                svc.history().iter().all(|e| !matches!(e, HistoryEntry::Recolor { .. })),
+                "seed {seed}: unexpected escalation"
+            );
+            // Proper on the live graph: both slots agree and no color
+            // repeats at a vertex.
+            let mut seen = HashSet::new();
+            for e in svc.coloring() {
+                assert!(!gone.contains(&e.u.0) && !gone.contains(&e.v.0), "departed edge kept");
+                let c = e.forward.expect("every live edge colored");
+                assert_eq!(e.reverse, Some(c), "seed {seed} batch {batch}: endpoints disagree");
+                assert!(
+                    seen.insert((e.u, c)),
+                    "seed {seed} batch {batch}: {c:?} twice at {:?}",
+                    e.u
+                );
+                assert!(
+                    seen.insert((e.v, c)),
+                    "seed {seed} batch {batch}: {c:?} twice at {:?}",
+                    e.v
+                );
+            }
+            let (restored, _) =
+                ColoringService::restore_chain(&base, &[], Some(&journal), Engine::Sequential)
+                    .expect("restore succeeds");
+            assert_eq!(
+                restored.coloring_hash(),
+                svc.coloring_hash(),
+                "seed {seed} batch {batch}: restore diverges from the live service"
+            );
+        }
+    }
 }
 
 /// The corruption matrix: every artifact of a persisted chain — the
